@@ -28,7 +28,6 @@ from .errors import (
     IoError,
     SourceError,
     UnknownColumn,
-    UnknownLexicon,
 )
 from .lexicon import (
     classify,
@@ -51,6 +50,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors exit 64
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts; anything below 1 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _output_options(sub: argparse.ArgumentParser) -> None:
@@ -93,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--unit", default="id", help="unit column for percent")
     p.add_argument("--class-col", default="classification")
     p.add_argument("--group", default=None, help="group column for top")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_positive_int, default=5)
     _output_options(p)
 
     p = subs.add_parser("record", help="log a session from stdin")
@@ -106,7 +116,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("fetch", help="ingest a manifest of sources")
     p.add_argument("manifest")
-    p.add_argument("--concurrency", type=int, default=4)
+    p.add_argument("--concurrency", type=_positive_int, default=4)
     _output_options(p)
 
     return parser
@@ -300,9 +310,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UnknownLexicon, UnknownColumn) as exc:
-        print(f"codeweft: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (IoError, HttpError) as exc:
         print(f"codeweft: {exc}", file=sys.stderr)
         return EXIT_IO

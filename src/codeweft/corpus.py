@@ -8,20 +8,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-import requests
-
 from . import __version__
-from .errors import HttpError, IoError, SourceError
+from .errors import HttpError, IoError
 from .parser import parse_program
 from .rast import Expr
 
 STRING_SOURCE = "<string>"
 
 USER_AGENT = f"codeweft/{__version__}"
-
-# placeholder columns kept for shape compatibility with evaluated logs;
-# evaluation is out of scope, so the cells stay empty
-RECITAL_PLACEHOLDERS = ("value", "error", "output", "warnings", "messages")
 
 
 @dataclass(frozen=True)
@@ -45,29 +39,31 @@ class ReadResult:
         self.errors.extend(other.errors)
 
 
-def _is_url(source: str) -> bool:
-    return source.startswith(("http://", "https://"))
-
-
 def _fetch_url(url: str, retries: int = 0, backoff: float = 0.5) -> str:
-    attempt = 0
-    while True:
+    # imported here: only a URL fetch pays for the HTTP stack
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    for attempt in range(retries + 1):
+        if attempt:
+            time.sleep(backoff * 2 ** (attempt - 1))
+        cause = None
         try:
-            resp = requests.get(url, headers={"User-Agent": USER_AGENT}, timeout=30)
-        except requests.RequestException as exc:
-            if attempt < retries:
-                time.sleep(backoff * (2**attempt))
-                attempt += 1
-                continue
-            raise HttpError(url, None, str(exc)) from exc
-        if resp.status_code == 200:
-            resp.encoding = "utf-8"
-            return resp.text
-        if attempt < retries:
-            time.sleep(backoff * (2**attempt))
-            attempt += 1
-            continue
-        raise HttpError(url, resp.status_code)
+            request = urllib.request.Request(url, headers={"User-Agent": USER_AGENT})
+            with urllib.request.urlopen(request, timeout=30) as resp:
+                if resp.status == 200:
+                    return resp.read().decode("utf-8", errors="replace")
+                status = resp.status
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status = exc.code
+        # ValueError: a malformed URL, such as a bad IPv6 host or an overlong label
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            cause = exc
+    if cause is not None:
+        raise HttpError(url, None, str(cause)) from cause
+    raise HttpError(url, status)
 
 
 def _read_local(path: str) -> str:
@@ -88,13 +84,21 @@ def parse_source_text(source_id: str, text: str) -> ReadResult:
     for expr, span in program.exprs:
         result.records.append(CallRecord(file=source_id, expr=expr, line=span.start_line))
     for err in program.errors:
-        result.errors.append(_tag_source(err, source_id))
+        err.source = source_id
+        result.errors.append(err)
     return result
 
 
-def _tag_source(err: SourceError, source_id: str) -> SourceError:
-    err.args = (f"{source_id}: {err.args[0]}",) + err.args[1:]
-    return err
+def _load(source: str, retries: int) -> ReadResult:
+    """Fetch a URL or read a local file, then parse it; a failed read is its only error."""
+    try:
+        if source.startswith(("http://", "https://")):
+            text = _fetch_url(source, retries)
+        else:
+            text = _read_local(source)
+    except (IoError, HttpError) as exc:
+        return ReadResult(errors=[exc])
+    return parse_source_text(source, text)
 
 
 def read_rfiles(sources: Sequence[str], retries: int = 0) -> ReadResult:
@@ -104,21 +108,12 @@ def read_rfiles(sources: Sequence[str], retries: int = 0) -> ReadResult:
     """
     result = ReadResult()
     for source in sources:
-        try:
-            text = _fetch_url(source, retries) if _is_url(source) else _read_local(source)
-        except (IoError, HttpError) as exc:
-            result.errors.append(exc)
-            continue
-        result.extend(parse_source_text(source, text))
+        result.extend(_load(source, retries))
     return result
 
 
 def recital(text: str) -> ReadResult:
-    """Records for each top-level expression of a code string.
-
-    Tabular output of these records carries empty value/error/output/
-    warnings/messages cells (see RECITAL_PLACEHOLDERS).
-    """
+    """Records for each top-level expression of a code string."""
     return parse_source_text(STRING_SOURCE, text)
 
 
@@ -143,19 +138,9 @@ def fetch_manifest(
     if concurrency < 1:
         raise ValueError("concurrency must be positive")
     sources = read_manifest(manifest)
-
-    def load(source: str) -> ReadResult:
-        try:
-            text = _fetch_url(source, retries) if _is_url(source) else _read_local(source)
-        except (IoError, HttpError) as exc:
-            failed = ReadResult()
-            failed.errors.append(exc)
-            return failed
-        return parse_source_text(source, text)
-
     result = ReadResult()
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        for partial in pool.map(load, sources):
+        for partial in pool.map(_load, sources, [retries] * len(sources)):
             result.extend(partial)
     return result
 

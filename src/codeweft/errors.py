@@ -12,13 +12,21 @@ class CodeweftError(Exception):
 
 
 class SourceError(CodeweftError):
-    """An error anchored to a location in some source text."""
+    """An error anchored to a location in some source text.
+
+    `source`, once set, names the file or URL and leads `str()`.
+    """
 
     def __init__(self, message: str, span: Optional[SrcSpan] = None):
         self.span = span
+        self.source: Optional[str] = None
         if span is not None:
             message = f"{message} (line {span.start_line}, col {span.start_col})"
         super().__init__(message)
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.source is None else f"{self.source}: {message}"
 
 
 class UnterminatedString(SourceError):

@@ -120,15 +120,9 @@ class Call:
 
 Expr = Union[NullLit, LogicalLit, NumLit, StringLit, SymbolRef, Call]
 
-LITERAL_KINDS = (NullLit, LogicalLit, NumLit, StringLit)
-
 
 def is_call(expr: Expr) -> bool:
     return isinstance(expr, Call)
-
-
-def is_literal(expr: Expr) -> bool:
-    return isinstance(expr, LITERAL_KINDS)
 
 
 def call(name: str, *args: Union[Expr, Arg], **named: Expr) -> Call:

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .deparse import deparse
-from .errors import MissingLog, SourceError
+from .errors import MissingLog, SchemaError, SourceError
 from .parser import is_complete, parse_program
 
 ENV_LOG_PATH = "CODEWEFT_LOG_PATH"
@@ -158,10 +158,15 @@ def read_log(log_path: Optional[str | Path] = None) -> list[SessionEvent]:
     if not path.exists():
         raise MissingLog(f"no session log at {path}")
     events = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+    # bytes: json.loads decodes each line, so bad UTF-8 fails that line only
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
                 events.append(SessionEvent.from_json(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise SchemaError(f"{path}:{lineno}: bad session event: {exc!r}") from exc
     return events
 
 

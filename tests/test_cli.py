@@ -1,10 +1,26 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import codeweft
 from codeweft.cli import main
+
+SRC_DIR = str(Path(codeweft.__file__).resolve().parents[1])
+
+
+def run_process(*args):
+    """Run a fresh interpreter that imports this checkout's codeweft."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+    )
 
 
 def run(capsys, *argv):
@@ -213,6 +229,52 @@ def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["stats", "nonsense"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fetch", "--concurrency", "0", "m.txt"],
+        ["stats", "top", "--group", "g", "--n", "0"],
+    ],
+)
+def test_non_positive_count_is_usage_error(argv):
+    proc = run_process("-m", "codeweft.cli", *argv)
+    assert proc.returncode == 64
+    assert "Traceback" not in proc.stderr
+    assert "expected a positive integer, got '0'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        b'{"kind": "expression", "expr_text": "x"}',
+        b'{"dt": "2020-01-01T00:00:00.000+00:00"}',
+        b'{"kind": "expression", "dt": "yesterday"}',
+        b'{"kind": "expression", "dt": 5}',
+        b'{"kind": "expression",',
+        b'{"kind": "expression", "dt": "2020-01-01T00:00:00.000+00:00", "expr_text": "\xff"}',
+    ],
+    ids=["no-dt", "no-kind", "bad-dt", "numeric-dt", "truncated-json", "bad-utf8"],
+)
+def test_corrupt_log_is_data_error(capsys, tmp_path, bad_line):
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(
+        b'{"kind": "expression", "dt": "2020-01-01T00:00:00.000+00:00"}\n' + bad_line + b"\n"
+    )
+    code, _, err = run(capsys, "record", "--table", "--log", str(log))
+    assert code == 65
+    assert err.startswith(f"codeweft: {log}:2: ")
+
+
+def test_cli_import_leaves_http_stack_unloaded():
+    # certifi is loaded by some interpreters' site start-up, not by codeweft
+    heavy = ["requests", "urllib3", "urllib.request", "http.client", "ssl"]
+    proc = run_process(
+        "-c", f"import sys, codeweft.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_lexicon_path_flag(capsys, tmp_path, monkeypatch):

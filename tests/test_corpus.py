@@ -1,10 +1,10 @@
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from codeweft.corpus import (
-    RECITAL_PLACEHOLDERS,
     USER_AGENT,
     example_path,
     fetch_manifest,
@@ -29,17 +29,22 @@ cat("Welcome!")
 class _Handler(BaseHTTPRequestHandler):
     routes = {}
     agents = []
+    hits = []
     fail_once = set()
+    fail_always = set()
 
     def do_GET(self):
         _Handler.agents.append(self.headers.get("User-Agent"))
-        if self.path in _Handler.fail_once:
+        _Handler.hits.append(self.path)
+        if self.path in _Handler.fail_once or self.path in _Handler.fail_always:
             _Handler.fail_once.discard(self.path)
             self.send_response(500)
             self.end_headers()
             return
         if self.path in self.routes:
-            body = self.routes[self.path].encode()
+            body = self.routes[self.path]
+            if isinstance(body, str):
+                body = body.encode()
             self.send_response(200)
             self.send_header("Content-Type", "text/plain; charset=utf-8")
             self.end_headers()
@@ -59,6 +64,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_port}"
     httpd.shutdown()
+    httpd.server_close()
 
 
 def test_read_local_files(example_scripts):
@@ -81,6 +87,7 @@ def test_syntax_error_is_isolated(tmp_path):
     result = read_rfiles([str(bad)])
     assert len(result.errors) == 1
     assert str(bad) in str(result.errors[0])
+    assert result.errors[0].source == str(bad)
     assert len(result.records) == 1
 
 
@@ -100,10 +107,6 @@ def test_recital_string():
         isinstance(r.expr, Call) for i, r in enumerate(result.records) if i != 1
     )
     assert all(r.file == "<string>" for r in result.records)
-
-
-def test_recital_placeholder_columns():
-    assert RECITAL_PLACEHOLDERS == ("value", "error", "output", "warnings", "messages")
 
 
 def test_fetch_url(server):
@@ -136,6 +139,37 @@ def test_retry_after_transient_failure(server):
     result = read_rfiles([f"{server}/flaky.R"], retries=2)
     assert not result.errors
     assert len(result.records) == 1
+
+
+def test_refused_connection_has_no_status():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    result = read_rfiles([f"http://127.0.0.1:{port}/a.R"])
+    assert len(result.errors) == 1
+    err = result.errors[0]
+    assert isinstance(err, HttpError)
+    assert err.status is None
+    assert str(err).startswith(f"http://127.0.0.1:{port}/a.R: ")
+
+
+def test_persistent_failure_retries_then_raises(server, monkeypatch):
+    delays = []
+    monkeypatch.setattr("codeweft.corpus.time.sleep", delays.append)
+    _Handler.fail_always.add("/down.R")
+    _Handler.hits.clear()
+    result = read_rfiles([f"{server}/down.R"], retries=2)
+    assert [type(e) for e in result.errors] == [HttpError]
+    assert result.errors[0].status == 500
+    assert _Handler.hits == ["/down.R"] * 3
+    assert delays == [0.5, 1.0]
+
+
+def test_non_utf8_body_is_replaced(server):
+    _Handler.routes["/latin.R"] = b"x <- '\xff'\n"
+    result = read_rfiles([f"{server}/latin.R"])
+    assert not result.errors
+    assert result.records[0].expr.args[1].value == StringLit("\ufffd")
 
 
 def test_read_manifest(tmp_path):
