@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import EmptyInput, UnknownColumn
+from .errors import EmptyInput, SchemaError, UnknownColumn
 
 Row = Mapping[str, object]
 
@@ -79,11 +79,19 @@ def top_n_by_group(
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_columns(count_table, [group_col, "n"])
+    counts: list[int] = []
     by_group: dict[object, list[int]] = {}
-    for row in count_table:
-        by_group.setdefault(row[group_col], []).append(int(row["n"]))  # type: ignore[arg-type]
+    for i, row in enumerate(count_table, 1):
+        try:
+            count = int(row["n"])  # type: ignore[arg-type]
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"row {i}: n is not an integer: {row['n']!r}") from exc
+        counts.append(count)
+        by_group.setdefault(row[group_col], []).append(count)
     cutoffs = {
-        group: sorted(counts, reverse=True)[min(n, len(counts)) - 1]
-        for group, counts in by_group.items()
+        group: sorted(group_counts, reverse=True)[min(n, len(group_counts)) - 1]
+        for group, group_counts in by_group.items()
     }
-    return [dict(row) for row in count_table if int(row["n"]) >= cutoffs[row[group_col]]]  # type: ignore[arg-type]
+    return [
+        dict(row) for row, count in zip(count_table, counts) if count >= cutoffs[row[group_col]]
+    ]

@@ -26,6 +26,7 @@ from .errors import (
     CodeweftError,
     HttpError,
     IoError,
+    SchemaError,
     SourceError,
     UnknownColumn,
 )
@@ -246,9 +247,19 @@ def _read_table(path: str) -> list[dict]:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise IoError(path, str(exc)) from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
+    if text.lstrip().startswith("{"):
+        rows = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: bad JSON row: {exc}") from exc
+            if not isinstance(row, dict):
+                raise SchemaError(f"{path}:{lineno}: JSON row is not an object")
+            rows.append(row)
+        return rows
     reader = csv.DictReader(io.StringIO(text))
     return [dict(row) for row in reader]
 

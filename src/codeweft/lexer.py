@@ -4,13 +4,16 @@ Comments are dropped. Newlines are emitted as tokens only where they can
 terminate an expression: inside `(`, `[` and `[[` groups they are
 swallowed, inside `{` blocks they separate statements, mirroring the R
 grammar's newline handling.
+
+The scan is one pass over a single compiled alternation, dispatched on
+the name of the alternative that matched.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import InvalidCharacter, UnterminatedBacktick, UnterminatedString
 from .rast import SrcSpan
@@ -38,20 +41,46 @@ _OPERATORS = [
     "=", "$", "@", "(", ")", "[", "]", "{", "}", ",",
 ]
 
-_NUM_RE = re.compile(
+# Alternatives are tried in order; none matches the empty string, and
+# `bad` takes any character the others refuse, so the scan has no gaps.
+# A string or backtick name that runs out of input, and a `%` with no
+# closing `%` on its line, still match: the missing close is the error.
+_TOKEN_RE = re.compile(
     r"""
-    0[xX][0-9a-fA-F]+L?
-    | (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?L?
+    (?P<skip>[ \t\r\f]+ | \#[^\n]*)
+    | (?P<newline>\n)
+    | (?P<semi>;)
+    | (?P<string>
+        (?P<quote>["'])
+        (?P<body>(?:[^"'\\]+ | \\.? | (?!(?P=quote))["'])*)
+        (?P<close>(?P=quote))?)
+    | (?P<backtick>`[^`\n]*`?)
+    | (?P<special>%[^%\n]*%?)
+    | (?P<num>0[xX][0-9a-fA-F]+L? | (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?L?)
+    | (?P<name>[a-zA-Z.][a-zA-Z0-9._]*)
+    | (?P<op>"""
+    + "|".join(map(re.escape, _OPERATORS))
+    + r""")
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-_NAME_RE = re.compile(r"[a-zA-Z.][a-zA-Z0-9._]*")
+# one escape: a single character, or x/u/U with up to 2/4/8 hex digits;
+# empty for a backslash that ends the input
+_ESCAPE_RE = re.compile(
+    r"\\(x[0-9a-fA-F]{0,2}|u[0-9a-fA-F]{0,4}|U[0-9a-fA-F]{0,8}|.?)", re.DOTALL
+)
 
 _ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "a": "\a", "b": "\b",
     "f": "\f", "v": "\v", "0": "\0", "\\": "\\", '"': '"', "'": "'", "`": "`",
+    "": "",  # the string is unterminated; that error is raised after escapes
 }
+
+# delimiter stack entries pushed per opener: True = newlines significant
+_OPENERS = {"(": [False], "[": [False], "[[": [False, False], "{": [True]}
+_CLOSERS = frozenset([")", "]", "}"])
 
 
 @dataclass(frozen=True)
@@ -63,90 +92,15 @@ class Token:
     quoted: bool = False  # backtick-quoted name
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def advance(self, n: int = 1) -> str:
-        chunk = self.text[self.pos : self.pos + n]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return chunk
-
-    def here(self) -> tuple[int, int]:
-        return self.line, self.col
-
-    def span_from(self, start: tuple[int, int]) -> SrcSpan:
-        # end position is the last consumed character
-        end_line, end_col = self.line, self.col - 1
-        if (end_line, end_col) < start:  # consumed a line break; clamp
-            end_line, end_col = start
-        return SrcSpan(start[0], start[1], end_line, end_col)
-
-
-def _scan_string(sc: _Scanner) -> Token:
-    start = sc.here()
-    start_pos = sc.pos
-    quote = sc.advance()
-    out: list[str] = []
-    while True:
-        if sc.eof():
-            raise UnterminatedString("unterminated string literal", sc.span_from(start))
-        ch = sc.advance()
-        if ch == quote:
-            break
-        if ch == "\\":
-            if sc.eof():
-                raise UnterminatedString("unterminated string literal", sc.span_from(start))
-            esc = sc.advance()
-            if esc in _ESCAPES:
-                out.append(_ESCAPES[esc])
-            elif esc in "xuU":
-                width = {"x": 2, "u": 4, "U": 8}[esc]
-                digits = ""
-                while len(digits) < width and sc.peek() in "0123456789abcdefABCDEF":
-                    digits += sc.advance()
-                if not digits:
-                    raise InvalidCharacter(
-                        f"invalid escape \\{esc}", sc.span_from(start)
-                    )
-                out.append(chr(int(digits, 16)))
-            else:
-                raise InvalidCharacter(f"unknown escape \\{esc}", sc.span_from(start))
-        else:
-            out.append(ch)
-    span = sc.span_from(start)
-    return Token(STRING, sc.text[start_pos : sc.pos], span, value="".join(out))
-
-
-def _scan_backtick(sc: _Scanner) -> Token:
-    start = sc.here()
-    sc.advance()  # `
-    out: list[str] = []
-    while True:
-        if sc.eof() or sc.peek() == "\n":
-            raise UnterminatedBacktick("unterminated backtick name", sc.span_from(start))
-        ch = sc.advance()
-        if ch == "`":
-            break
-        out.append(ch)
-    span = sc.span_from(start)
-    return Token(NAME, "".join(out), span, quoted=True)
+def _number(raw: str) -> tuple[float, bool]:
+    is_int = raw.endswith("L")
+    body = raw[:-1] if is_int else raw
+    if body[:2] not in ("0x", "0X"):
+        return float(body), is_int
+    try:
+        return float(int(body, 16)), is_int
+    except OverflowError:  # R reads hex into a double, which overflows to Inf
+        return math.inf, is_int
 
 
 def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
@@ -156,95 +110,80 @@ def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
     tokens (those outside `(`/`[` groups); `tokenize` callers who only want
     the lexical content leave it off.
     """
-    sc = _Scanner(text)
     tokens: list[Token] = []
-    # delimiter stack entries: True = newlines significant ({ and top level)
     stack: list[bool] = []
+    line, line_start = 1, 0  # current line number and the offset it starts at
 
-    def newlines_significant() -> bool:
-        return stack[-1] if stack else True
+    def span(start: int, end: int) -> SrcSpan:
+        """1-based inclusive span of text[start:end]; `start` is on `line`.
 
-    while not sc.eof():
-        ch = sc.peek()
-        if ch == "#":
-            while not sc.eof() and sc.peek() != "\n":
-                sc.advance()
-            continue
-        if ch == "\n":
-            start = sc.here()
-            sc.advance()
-            if newlines_significant():
-                tokens.append(Token(NEWLINE, "\n", sc.span_from(start)))
-            continue
-        if ch in " \t\r\f":
-            sc.advance()
-            continue
-        if ch == ";":
-            start = sc.here()
-            sc.advance()
-            tokens.append(Token(SEMI, ";", sc.span_from(start)))
-            continue
-        if ch in "\"'":
-            tokens.append(_scan_string(sc))
-            continue
-        if ch == "`":
-            tokens.append(_scan_backtick(sc))
-            continue
-        if ch == "%":
-            start = sc.here()
-            sc.advance()
-            body = ""
-            while not sc.eof() and sc.peek() not in "%\n":
-                body += sc.advance()
-            if sc.eof() or sc.peek() == "\n":
-                raise InvalidCharacter("unterminated %..% operator", sc.span_from(start))
-            sc.advance()  # closing %
-            tokens.append(Token(SPECIAL, f"%{body}%", sc.span_from(start)))
-            continue
-        if ch.isdigit() or (ch == "." and sc.peek(1).isdigit()):
-            start = sc.here()
-            m = _NUM_RE.match(sc.text, sc.pos)
-            assert m is not None
-            raw = m.group(0)
-            sc.advance(len(raw))
-            is_int = raw.endswith("L")
-            body = raw[:-1] if is_int else raw
-            value = float(int(body, 16)) if body.lower().startswith("0x") else float(body)
-            tokens.append(
-                Token(NUM, raw, sc.span_from(start), value=(value, is_int))
-            )
-            continue
-        m = _NAME_RE.match(sc.text, sc.pos)
-        if m:
-            start = sc.here()
-            raw = m.group(0)
-            sc.advance(len(raw))
-            kind = KEYWORD if raw in KEYWORDS else NAME
-            tokens.append(Token(kind, raw, sc.span_from(start)))
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if sc.text.startswith(op, sc.pos):
-                start = sc.here()
-                sc.advance(len(op))
-                tokens.append(Token(OP, op, sc.span_from(start)))
-                if op in ("(", "["):
-                    stack.append(False)
-                elif op == "[[":
-                    stack.append(False)
-                    stack.append(False)  # one entry per expected ]
-                elif op == "{":
-                    stack.append(True)
-                elif op in (")", "]", "}") and stack:
-                    stack.pop()
-                matched = True
-                break
-        if matched:
-            continue
-        start = sc.here()
-        sc.advance()
-        raise InvalidCharacter(f"invalid character {ch!r}", sc.span_from(start))
+        A span ending in a line break ends at column 0 of the next line; an
+        empty one is clamped to its start.
+        """
+        start_col = start - line_start + 1
+        breaks = text.count("\n", start, end)
+        if breaks:
+            return SrcSpan(line, start_col, line + breaks, end - text.rindex("\n", start, end) - 1)
+        return SrcSpan(line, start_col, line, max(end - line_start, start_col))
 
-    if not keep_newlines:
-        tokens = [t for t in tokens if t.kind != NEWLINE]
+    def unescape(esc: re.Match) -> str:
+        """Decode one escape in the body of the string token `m`."""
+        code = esc[1]
+        if code in _ESCAPES:
+            return _ESCAPES[code]
+        if code[1:]:
+            point = int(code[1:], 16)
+            if point <= 0x10FFFF and not 0xD800 <= point <= 0xDFFF:
+                return chr(point)
+        # an unknown letter, a hex escape with no digits, or a code point above
+        # U+10FFFF or in D800-DFFF, which names no character; R rejects all four
+        problem = "invalid" if code[0] in "xuU" else "unknown"
+        raise InvalidCharacter(
+            f"{problem} escape \\{code}", span(m.start(), m.start("body") + esc.end())
+        )
+
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span()
+        if kind == "skip":
+            continue
+        if kind == "name":
+            raw = m[0]
+            tokens.append(Token(KEYWORD if raw in KEYWORDS else NAME, raw, span(start, end)))
+        elif kind == "op":
+            raw = m[0]
+            tokens.append(Token(OP, raw, span(start, end)))
+            if raw in _OPENERS:
+                stack.extend(_OPENERS[raw])
+            elif raw in _CLOSERS and stack:
+                stack.pop()
+        elif kind == "num":
+            raw = m[0]
+            tokens.append(Token(NUM, raw, span(start, end), value=_number(raw)))
+        elif kind == "newline":
+            if keep_newlines and (stack[-1] if stack else True):
+                tokens.append(Token(NEWLINE, "\n", span(start, end)))
+            line, line_start = line + 1, end
+        elif kind == "string":
+            value = _ESCAPE_RE.sub(unescape, m["body"])
+            token_span = span(start, end)
+            if m["close"] is None:
+                raise UnterminatedString("unterminated string literal", token_span)
+            tokens.append(Token(STRING, m[0], token_span, value=value))
+            if token_span.end_line != line:
+                line, line_start = token_span.end_line, text.rindex("\n", start, end) + 1
+        elif kind == "semi":
+            tokens.append(Token(SEMI, ";", span(start, end)))
+        elif kind == "special":
+            raw = m[0]
+            if len(raw) < 2 or raw[-1] != "%":
+                raise InvalidCharacter("unterminated %..% operator", span(start, end))
+            tokens.append(Token(SPECIAL, raw, span(start, end)))
+        elif kind == "backtick":
+            raw = m[0]
+            if len(raw) < 2 or raw[-1] != "`":
+                raise UnterminatedBacktick("unterminated backtick name", span(start, end))
+            tokens.append(Token(NAME, raw[1:-1], span(start, end), quoted=True))
+        else:  # bad
+            raise InvalidCharacter(f"invalid character {m[0]!r}", span(start, end))
     return tokens

@@ -68,13 +68,14 @@ _UNARY_BP = {"-": 28, "+": 28, "!": 16, "~": 10, "?": 2}
 _POSTFIX_BP = 34  # ( [ [[ $ @
 _NS_BP = 36  # :: :::
 
+# each constant's literal, built from its source span
 _CONSTANTS = {
-    "TRUE": lambda: LogicalLit(True),
-    "FALSE": lambda: LogicalLit(False),
-    "NA": lambda: LogicalLit(None),
+    "TRUE": lambda span: LogicalLit(True, span),
+    "FALSE": lambda span: LogicalLit(False, span),
+    "NA": lambda span: LogicalLit(None, span),
     "NULL": NullLit,
-    "Inf": lambda: NumLit("Inf", math.inf),
-    "NaN": lambda: NumLit("NaN", math.nan),
+    "Inf": lambda span: NumLit("Inf", math.inf, span=span),
+    "NaN": lambda span: NumLit("NaN", math.nan, span=span),
 }
 
 @dataclass
@@ -177,8 +178,7 @@ class _Parser:
         if tok.kind == NAME:
             self.advance()
             if not tok.quoted and tok.text in _CONSTANTS:
-                lit = _CONSTANTS[tok.text]()
-                return type(lit)(**{**lit.__dict__, "span": tok.span})
+                return _CONSTANTS[tok.text](tok.span)
             return SymbolRef(tok.text, tok.span)
         if tok.kind == KEYWORD:
             return self.parse_keyword()

@@ -68,12 +68,17 @@ class SessionEvent:
     @staticmethod
     def from_json(line: str) -> "SessionEvent":
         data = json.loads(line)
-        return SessionEvent(
+        event = SessionEvent(
             kind=data["kind"],
             dt=datetime.fromisoformat(data["dt"]),
             expr_text=data.get("expr_text", ""),
             meta=data.get("meta", {}),
         )
+        if not isinstance(event.expr_text, str):
+            raise TypeError(f"expr_text is not a string: {event.expr_text!r}")
+        if not isinstance(event.meta, dict):
+            raise TypeError(f"meta is not an object: {event.meta!r}")
+        return event
 
 
 def _boundary_meta(capture_values: bool) -> dict:

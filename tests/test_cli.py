@@ -254,8 +254,14 @@ def test_non_positive_count_is_usage_error(argv):
         b'{"kind": "expression", "dt": 5}',
         b'{"kind": "expression",',
         b'{"kind": "expression", "dt": "2020-01-01T00:00:00.000+00:00", "expr_text": "\xff"}',
+        b'{"kind": "expression", "dt": "2020-01-01T00:00:00.000+00:00", "meta": [1]}',
+        b'{"kind": "expression", "dt": "2020-01-01T00:00:00.000+00:00", "expr_text": 5,'
+        b' "meta": {"parsed": true}}',
     ],
-    ids=["no-dt", "no-kind", "bad-dt", "numeric-dt", "truncated-json", "bad-utf8"],
+    ids=[
+        "no-dt", "no-kind", "bad-dt", "numeric-dt", "truncated-json", "bad-utf8",
+        "list-meta", "numeric-expr-text",
+    ],
 )
 def test_corrupt_log_is_data_error(capsys, tmp_path, bad_line):
     log = tmp_path / "log.jsonl"
@@ -290,3 +296,51 @@ def test_lexicon_path_flag(capsys, tmp_path, monkeypatch):
     )
     rows = rows_of_csv(out)
     assert rows == [{"func": "library", "classification": "import", "score": "1.0"}]
+
+
+@pytest.mark.parametrize(
+    "bad_text, message",
+    [
+        ('x <- "\\x', "invalid escape \\x"),
+        ('x <- "\\u4', "unterminated string literal"),
+        ("x <- '\\U", "invalid escape \\U"),
+        ("x <- 2²", "invalid character '²'"),
+        ("x <- .²", "invalid character '²'"),
+        ('x <- "\\UFFFFFFFF"', "invalid escape \\UFFFFFFFF"),
+        ('x <- "\\uD800"', "invalid escape \\uD800"),
+    ],
+    ids=["hex-at-eof", "short-unicode-at-eof", "big-unicode-at-eof", "superscript",
+         "dot-superscript", "beyond-unicode", "surrogate"],
+)
+def test_lexer_error_is_isolated_and_finishes(tmp_path, bad_text, message):
+    ok = tmp_path / "ok.R"
+    ok.write_text("f(1)\ny <- 2\n", encoding="utf-8")
+    bad = tmp_path / "bad.R"
+    bad.write_text(bad_text, encoding="utf-8")  # no final newline: the input ends mid-token
+    proc = run_process("-m", "codeweft.cli", "parse", str(ok), str(bad))
+    assert proc.returncode == 2
+    assert [r["text"] for r in rows_of_csv(proc.stdout)] == ["f(1)", "y <- 2"]
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, table, message",
+    [
+        (["stats", "counts"], '{"func": "f"}\n{bad\n', ":2: bad JSON row: "),
+        (["stats", "counts"], '{"func": "f"}\n[1,2]\n', ":2: JSON row is not an object"),
+        (
+            ["stats", "top", "--group", "func"],
+            "func,n\nf,3\ng,x\n",
+            "row 2: n is not an integer: 'x'",
+        ),
+    ],
+    ids=["bad-json", "json-array", "non-integer-n"],
+)
+def test_corrupt_table_is_data_error(tmp_path, argv, table, message):
+    path = tmp_path / "table.txt"
+    path.write_text(table)
+    proc = run_process("-m", "codeweft.cli", *argv, "--input", str(path))
+    assert proc.returncode == 65
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

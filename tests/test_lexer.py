@@ -135,3 +135,119 @@ def test_invalid_character():
 def test_unknown_escape():
     with pytest.raises(InvalidCharacter):
         tokenize(r'"\q"')
+
+
+def snapshot(text):
+    return [
+        (t.kind, t.text, (t.span.start_line, t.span.start_col, t.span.end_line, t.span.end_col))
+        for t in tokenize(text, keep_newlines=True)
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            'x <- "a\nb"\ny',
+            [
+                ("name", "x", (1, 1, 1, 1)),
+                ("op", "<-", (1, 3, 1, 4)),
+                ("string", '"a\nb"', (1, 6, 2, 2)),
+                ("newline", "\n", (2, 3, 3, 0)),
+                ("name", "y", (3, 1, 3, 1)),
+            ],
+        ),
+        (
+            '"ab\nc" + 1',
+            [
+                ("string", '"ab\nc"', (1, 1, 2, 2)),
+                ("op", "+", (2, 4, 2, 4)),
+                ("num", "1", (2, 6, 2, 6)),
+            ],
+        ),
+        (
+            "x\r\ny",
+            [
+                ("name", "x", (1, 1, 1, 1)),
+                ("newline", "\n", (1, 3, 2, 0)),
+                ("name", "y", (2, 1, 2, 1)),
+            ],
+        ),
+        ("a\tb", [("name", "a", (1, 1, 1, 1)), ("name", "b", (1, 3, 1, 3))]),
+        (
+            "x # c\ny",
+            [
+                ("name", "x", (1, 1, 1, 1)),
+                ("newline", "\n", (1, 6, 2, 0)),
+                ("name", "y", (2, 1, 2, 1)),
+            ],
+        ),
+        (
+            "{\nf(\na\n)\nx[[\n1\n]]\n}",
+            [
+                ("op", "{", (1, 1, 1, 1)),
+                ("newline", "\n", (1, 2, 2, 0)),
+                ("name", "f", (2, 1, 2, 1)),
+                ("op", "(", (2, 2, 2, 2)),
+                ("name", "a", (3, 1, 3, 1)),
+                ("op", ")", (4, 1, 4, 1)),
+                ("newline", "\n", (4, 2, 5, 0)),
+                ("name", "x", (5, 1, 5, 1)),
+                ("op", "[[", (5, 2, 5, 3)),
+                ("num", "1", (6, 1, 6, 1)),
+                ("op", "]", (7, 1, 7, 1)),
+                ("op", "]", (7, 2, 7, 2)),
+                ("newline", "\n", (7, 3, 8, 0)),
+                ("op", "}", (8, 1, 8, 1)),
+            ],
+        ),
+        (
+            "a %in% b",
+            [
+                ("name", "a", (1, 1, 1, 1)),
+                ("special", "%in%", (1, 3, 1, 6)),
+                ("name", "b", (1, 8, 1, 8)),
+            ],
+        ),
+        (
+            "`my var` <- 1",
+            [
+                ("name", "my var", (1, 1, 1, 8)),
+                ("op", "<-", (1, 10, 1, 11)),
+                ("num", "1", (1, 13, 1, 13)),
+            ],
+        ),
+    ],
+    ids=[
+        "multiline-string", "string-then-op", "crlf", "tab", "comment-newline",
+        "group-newlines", "special-op", "backtick",
+    ],
+)
+def test_token_spans(text, expected):
+    assert snapshot(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, error, message, span",
+    [
+        ('"abc', UnterminatedString, "unterminated string literal", (1, 1, 1, 4)),
+        ('"abc\n', UnterminatedString, "unterminated string literal", (1, 1, 2, 0)),
+        ("`ab\nc`", UnterminatedBacktick, "unterminated backtick name", (1, 1, 1, 3)),
+        ("a %in b", InvalidCharacter, "unterminated %..% operator", (1, 3, 1, 7)),
+        ("a %in\nb", InvalidCharacter, "unterminated %..% operator", (1, 3, 1, 5)),
+        (r'"\q"', InvalidCharacter, r"unknown escape \q", (1, 1, 1, 3)),
+        (r'"\x"', InvalidCharacter, r"invalid escape \x", (1, 1, 1, 3)),
+        ("x \x01 y", InvalidCharacter, r"invalid character '\x01'", (1, 3, 1, 3)),
+    ],
+    ids=[
+        "string-eof", "string-newline-eof", "backtick-newline", "special-eof",
+        "special-newline", "unknown-escape", "hex-no-digits", "control-char",
+    ],
+)
+def test_error_spans(text, error, message, span):
+    with pytest.raises(error) as info:
+        tokenize(text)
+    got = info.value
+    assert type(got) is error
+    assert str(got) == f"{message} (line {span[0]}, col {span[1]})"
+    assert (got.span.start_line, got.span.start_col, got.span.end_line, got.span.end_col) == span

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from codeweft.analyze import class_percentages, count_funcs, top_n_by_group
 from codeweft.corpus import CallRecord
 from codeweft.deparse import deparse
+from codeweft.errors import SourceError
+from codeweft.lexer import tokenize
 from codeweft.lexicon import ClassificationEntry, StopFuncList, classify, remove_stopfuncs
 from codeweft.parser import parse_expr
 from codeweft.rast import (
@@ -213,3 +215,19 @@ def test_top_n_matches_naive_cutoff(items, n):
         )
         cutoff = counts[min(n, len(counts)) - 1]
         assert (row in out) == (row["n"] >= cutoff)
+
+
+# --- lexer totality -----------------------------------------------------
+
+# R-ish characters plus the pieces of escapes, a non-ASCII digit-like
+# character and a control character
+_LEX_ALPHABET = "ab.xuU0123456789fFL+-*<>=!&|~:$@()[]{},;%#`'\" \t\r\n\\²\x01"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=_LEX_ALPHABET, max_size=40))
+def test_tokenize_returns_tokens_or_raises_source_error(text):
+    try:
+        assert isinstance(tokenize(text, keep_newlines=True), list)
+    except SourceError:
+        pass
