@@ -18,7 +18,7 @@ STRING_SOURCE = "<string>"
 USER_AGENT = f"codeweft/{__version__}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallRecord:
     """One top-level expression with provenance."""
 

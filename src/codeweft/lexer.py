@@ -56,7 +56,7 @@ _TOKEN_RE = re.compile(
         (?P<close>(?P=quote))?)
     | (?P<backtick>`[^`\n]*`?)
     | (?P<special>%[^%\n]*%?)
-    | (?P<num>0[xX][0-9a-fA-F]+L? | (?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?L?)
+    | (?P<num>0[xX][0-9a-fA-F]+L? | (?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?L?)
     | (?P<name>[a-zA-Z.][a-zA-Z0-9._]*)
     | (?P<op>"""
     + "|".join(map(re.escape, _OPERATORS))
@@ -66,15 +66,15 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# one escape: a single character, or x/u/U with up to 2/4/8 hex digits;
-# empty for a backslash that ends the input
+# one escape: x/u/U with up to 2/4/8 hex digits, 1-3 octal digits, or a
+# single character; empty for a backslash that ends the input
 _ESCAPE_RE = re.compile(
-    r"\\(x[0-9a-fA-F]{0,2}|u[0-9a-fA-F]{0,4}|U[0-9a-fA-F]{0,8}|.?)", re.DOTALL
+    r"\\(x[0-9a-fA-F]{0,2}|u[0-9a-fA-F]{0,4}|U[0-9a-fA-F]{0,8}|[0-7]{1,3}|.?)", re.DOTALL
 )
 
 _ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "a": "\a", "b": "\b",
-    "f": "\f", "v": "\v", "0": "\0", "\\": "\\", '"': '"', "'": "'", "`": "`",
+    "f": "\f", "v": "\v", "\\": "\\", '"': '"', "'": "'", "`": "`",
     "": "",  # the string is unterminated; that error is raised after escapes
 }
 
@@ -83,8 +83,10 @@ _OPENERS = {"(": [False], "[": [False], "[[": [False, False], "{": [True]}
 _CLOSERS = frozenset([")", "]", "}"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
+    """One lexical token with its source span."""
+
     kind: str
     text: str
     span: SrcSpan
@@ -115,56 +117,46 @@ def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
     line, line_start = 1, 0  # current line number and the offset it starts at
 
     def span(start: int, end: int) -> SrcSpan:
-        """1-based inclusive span of text[start:end]; `start` is on `line`.
+        """1-based inclusive span of text[start:end] in a string token; `start` is on `line`.
 
-        A span ending in a line break ends at column 0 of the next line; an
-        empty one is clamped to its start.
+        A span ending in a line break ends at column 0 of the next line.
         """
         start_col = start - line_start + 1
         breaks = text.count("\n", start, end)
         if breaks:
             return SrcSpan(line, start_col, line + breaks, end - text.rindex("\n", start, end) - 1)
-        return SrcSpan(line, start_col, line, max(end - line_start, start_col))
+        return SrcSpan(line, start_col, line, end - line_start)
 
     def unescape(esc: re.Match) -> str:
         """Decode one escape in the body of the string token `m`."""
         code = esc[1]
         if code in _ESCAPES:
             return _ESCAPES[code]
-        if code[1:]:
-            point = int(code[1:], 16)
-            if point <= 0x10FFFF and not 0xD800 <= point <= 0xDFFF:
-                return chr(point)
-        # an unknown letter, a hex escape with no digits, or a code point above
-        # U+10FFFF or in D800-DFFF, which names no character; R rejects all four
-        problem = "invalid" if code[0] in "xuU" else "unknown"
-        raise InvalidCharacter(
-            f"{problem} escape \\{code}", span(m.start(), m.start("body") + esc.end())
-        )
+        octal = code[0] in "01234567"
+        digits = code if octal else code[1:]
+        point = int(digits, 8 if octal else 16) if digits else None
+        if point and point <= 0x10FFFF and not 0xD800 <= point <= 0xDFFF:
+            return chr(point)
+        # a NUL, an unknown letter, a hex escape with no digits, or a code point
+        # above U+10FFFF or in D800-DFFF, which names no character; R rejects all
+        if point == 0:
+            message = "nul character not allowed"
+        else:
+            message = f"{'invalid' if code[0] in 'xuU' else 'unknown'} escape \\{code}"
+        raise InvalidCharacter(message, span(m.start(), m.start("body") + esc.end()))
 
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        start, end = m.span()
         if kind == "skip":
             continue
-        if kind == "name":
-            raw = m[0]
-            tokens.append(Token(KEYWORD if raw in KEYWORDS else NAME, raw, span(start, end)))
-        elif kind == "op":
-            raw = m[0]
-            tokens.append(Token(OP, raw, span(start, end)))
-            if raw in _OPENERS:
-                stack.extend(_OPENERS[raw])
-            elif raw in _CLOSERS and stack:
-                stack.pop()
-        elif kind == "num":
-            raw = m[0]
-            tokens.append(Token(NUM, raw, span(start, end), value=_number(raw)))
-        elif kind == "newline":
+        start, end = m.span()
+        if kind == "newline":
             if keep_newlines and (stack[-1] if stack else True):
-                tokens.append(Token(NEWLINE, "\n", span(start, end)))
+                col = start - line_start + 1
+                tokens.append(Token(NEWLINE, "\n", SrcSpan(line, col, line + 1, 0)))
             line, line_start = line + 1, end
-        elif kind == "string":
+            continue
+        if kind == "string":
             value = _ESCAPE_RE.sub(unescape, m["body"])
             token_span = span(start, end)
             if m["close"] is None:
@@ -172,18 +164,30 @@ def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
             tokens.append(Token(STRING, m[0], token_span, value=value))
             if token_span.end_line != line:
                 line, line_start = token_span.end_line, text.rindex("\n", start, end) + 1
+            continue
+        # every other token lies on one line and is not empty
+        raw = m[0]
+        here = SrcSpan(line, start - line_start + 1, line, end - line_start)
+        if kind == "name":
+            tokens.append(Token(KEYWORD if raw in KEYWORDS else NAME, raw, here))
+        elif kind == "op":
+            tokens.append(Token(OP, raw, here))
+            if raw in _OPENERS:
+                stack.extend(_OPENERS[raw])
+            elif raw in _CLOSERS and stack:
+                stack.pop()
+        elif kind == "num":
+            tokens.append(Token(NUM, raw, here, value=_number(raw)))
         elif kind == "semi":
-            tokens.append(Token(SEMI, ";", span(start, end)))
+            tokens.append(Token(SEMI, ";", here))
         elif kind == "special":
-            raw = m[0]
             if len(raw) < 2 or raw[-1] != "%":
-                raise InvalidCharacter("unterminated %..% operator", span(start, end))
-            tokens.append(Token(SPECIAL, raw, span(start, end)))
+                raise InvalidCharacter("unterminated %..% operator", here)
+            tokens.append(Token(SPECIAL, raw, here))
         elif kind == "backtick":
-            raw = m[0]
             if len(raw) < 2 or raw[-1] != "`":
-                raise UnterminatedBacktick("unterminated backtick name", span(start, end))
-            tokens.append(Token(NAME, raw[1:-1], span(start, end), quoted=True))
+                raise UnterminatedBacktick("unterminated backtick name", here)
+            tokens.append(Token(NAME, raw[1:-1], here, quoted=True))
         else:  # bad
-            raise InvalidCharacter(f"invalid character {m[0]!r}", span(start, end))
+            raise InvalidCharacter(f"invalid character {raw!r}", here)
     return tokens

@@ -48,6 +48,8 @@ ENV_LEXICON_PATH = "CODEWEFT_LEXICON_PATH"
 
 @dataclass(frozen=True)
 class ClassificationEntry:
+    """One lexicon row: a function's class and its score in one lexicon."""
+
     func: str
     classification: str
     lexicon: str
@@ -56,6 +58,8 @@ class ClassificationEntry:
 
 @dataclass(frozen=True)
 class StopFuncList:
+    """Function names the stop-function anti-join drops."""
+
     funcs: frozenset[str]
 
     def __contains__(self, func: str) -> bool:

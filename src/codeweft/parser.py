@@ -114,8 +114,12 @@ class _Parser:
         return self.advance()
 
     def skip_newlines(self) -> None:
-        while self.at(NEWLINE):
-            self.advance()
+        while self.tokens[self.pos].kind == NEWLINE:  # the final EOF token stops the scan
+            self.pos += 1
+
+    def skip_separators(self) -> None:
+        while self.tokens[self.pos].kind in (NEWLINE, SEMI):
+            self.pos += 1
 
     def fail(self, expected: str) -> None:
         tok = self.peek()
@@ -128,36 +132,38 @@ class _Parser:
     def parse_expr(self, min_bp: int = 0) -> Expr:
         left = self.parse_operand()
         while True:
-            tok = self.peek()
+            tok = self.tokens[self.pos]
+            text = tok.text
             if tok.kind == SPECIAL:
                 lbp, right = _SPECIAL_BP, False
-            elif tok.kind == OP and tok.text in ("::", ":::"):
-                lbp, right = _NS_BP, False
-            elif tok.kind == OP and tok.text in ("(", "[", "[[", "$", "@"):
+            elif tok.kind != OP:
+                break
+            elif text in _INFIX:
+                lbp, right = _INFIX[text]
+            elif text in ("(", "[", "[[", "$", "@"):
                 lbp, right = _POSTFIX_BP, False
-            elif tok.kind == OP and tok.text in _INFIX:
-                lbp, right = _INFIX[tok.text]
+            elif text in ("::", ":::"):
+                lbp, right = _NS_BP, False
             else:
                 break
             if lbp < min_bp:
                 break
-            if tok.text in ("(", "[", "[["):
+            if text in ("(", "[", "[["):
                 left = self.parse_suffix_call(left)
                 continue
-            if tok.text in ("$", "@", "::", ":::"):
-                self.advance()
+            self.pos += 1  # tok is an operator, never EOF
+            if text in ("$", "@", "::", ":::"):
                 self.skip_newlines()
                 rhs = self.parse_member_name()
                 left = Call(
-                    SymbolRef(tok.text, tok.span),
+                    SymbolRef(text, tok.span),
                     (Arg(left), Arg(rhs)),
                     _cover(left, rhs),
                 )
                 continue
-            self.advance()
             self.skip_newlines()
             rhs = self.parse_expr(lbp if right else lbp + 1)
-            op = tok.text
+            op = text
             a, b = left, rhs
             if op in ("->", "->>"):  # R rewrites rightward assignment
                 op = "<-" if op == "->" else "<<-"
@@ -211,8 +217,7 @@ class _Parser:
         self.brace_depth += 1
         stmts: list[Arg] = []
         while True:
-            while self.at(NEWLINE) or self.at(SEMI):
-                self.advance()
+            self.skip_separators()
             if self.at(OP, "}"):
                 break
             stmts.append(Arg(self.parse_expr(0)))
@@ -430,8 +435,7 @@ def parse_program(text: str) -> ProgramResult:
         return result
     parser = _Parser(tokens, text)
     while True:
-        while parser.at(NEWLINE) or parser.at(SEMI):
-            parser.advance()
+        parser.skip_separators()
         if parser.at(EOF):
             break
         try:
@@ -450,8 +454,7 @@ def parse_expr(text: str) -> Expr:
     if parser.at(EOF):
         raise RSyntaxError("empty input", None, "an expression")
     expr, _ = parser.parse_top_level()
-    while parser.at(NEWLINE) or parser.at(SEMI):
-        parser.advance()
+    parser.skip_separators()
     if not parser.at(EOF):
         raise MultipleExpressions("input contains more than one expression")
     return expr
@@ -465,13 +468,18 @@ def is_complete(text: str) -> bool:
     """
     try:
         tokens = lexer.tokenize(text, keep_newlines=True)
-    except (UnterminatedString, UnterminatedBacktick):
-        # a string or name still open at end of input keeps the REPL waiting
+    except UnterminatedString:
+        # a string still open at end of input keeps the REPL waiting
         return False
+    except UnterminatedBacktick as err:
+        # a backtick name cannot cross a line: only one cut by the end of the
+        # input can still be closed
+        if err.span.end_line > text.count("\n"):
+            return False
+        raise
     parser = _Parser(tokens, text)
     while True:
-        while parser.at(NEWLINE) or parser.at(SEMI):
-            parser.advance()
+        parser.skip_separators()
         if parser.at(EOF):
             return True
         try:

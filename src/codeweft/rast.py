@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SrcSpan:
     """1-based, inclusive source region."""
 
@@ -38,12 +38,14 @@ class SrcSpan:
 _NOSPAN = None  # spans are optional on synthesised trees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullLit:
+    """R's NULL."""
+
     span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogicalLit:
     """TRUE / FALSE / NA (value None means NA)."""
 
@@ -51,7 +53,7 @@ class LogicalLit:
     span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class NumLit:
     """Numeric literal keeping its source spelling for faithful deparse."""
 
@@ -86,13 +88,15 @@ class NumLit:
         return NumLit(text=text, value=float(value), is_int=is_int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StringLit:
+    """A string literal with its escapes decoded."""
+
     value: str
     span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolRef:
     """A name. The empty name is R's missing argument (as in `x[, 1]`)."""
 
@@ -100,7 +104,7 @@ class SymbolRef:
     span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arg:
     """One call argument, optionally named (`value = TRUE`)."""
 
@@ -108,8 +112,10 @@ class Arg:
     name: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
+    """A callee applied to arguments: every operator, brace and keyword too."""
+
     callee: "Expr"
     args: tuple[Arg, ...] = ()
     span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)

@@ -49,6 +49,8 @@ def default_log_path() -> Path:
 
 @dataclass(frozen=True)
 class SessionEvent:
+    """One logged event: a session boundary or an expression."""
+
     kind: str  # boundary_start | boundary_stop | expression
     dt: datetime  # UTC, millisecond precision
     expr_text: str = ""  # source text; kept raw when unparseable

@@ -14,7 +14,7 @@ from .deparse import deparse
 from .rast import Arg, Call, Expr, SymbolRef
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncToken:
     """One flattened call: function name plus its argument expressions."""
 

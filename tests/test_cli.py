@@ -308,9 +308,11 @@ def test_lexicon_path_flag(capsys, tmp_path, monkeypatch):
         ("x <- .²", "invalid character '²'"),
         ('x <- "\\UFFFFFFFF"', "invalid escape \\UFFFFFFFF"),
         ('x <- "\\uD800"', "invalid escape \\uD800"),
+        ("x <- ٣ + 1", "invalid character '٣'"),
+        ('x <- "a\\0b"', "nul character not allowed"),
     ],
     ids=["hex-at-eof", "short-unicode-at-eof", "big-unicode-at-eof", "superscript",
-         "dot-superscript", "beyond-unicode", "surrogate"],
+         "dot-superscript", "beyond-unicode", "surrogate", "arabic-digit", "nul-escape"],
 )
 def test_lexer_error_is_isolated_and_finishes(tmp_path, bad_text, message):
     ok = tmp_path / "ok.R"

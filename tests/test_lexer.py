@@ -39,6 +39,8 @@ def test_string_escapes():
     tok = tokenize(r'"a\"b\n\t\x41é"')[0]
     assert tok.kind == "string"
     assert tok.value == 'a"b\n\tAé'
+    # octal escapes take one to three digits, as documented in R's ?Quotes
+    assert tokenize(r'"\101\1012\7\12"')[0].value == "AA2\a\n"
 
 
 def test_single_quoted_string():
@@ -238,10 +240,18 @@ def test_token_spans(text, expected):
         (r'"\q"', InvalidCharacter, r"unknown escape \q", (1, 1, 1, 3)),
         (r'"\x"', InvalidCharacter, r"invalid escape \x", (1, 1, 1, 3)),
         ("x \x01 y", InvalidCharacter, r"invalid character '\x01'", (1, 3, 1, 3)),
+        ("x <- ٣ + 1", InvalidCharacter, "invalid character '٣'", (1, 6, 1, 6)),
+        ("x <- 1e٣", InvalidCharacter, "invalid character '٣'", (1, 8, 1, 8)),
+        (r'"a\0b"', InvalidCharacter, "nul character not allowed", (1, 1, 1, 4)),
+        (r'"\x00"', InvalidCharacter, "nul character not allowed", (1, 1, 1, 5)),
+        (r'"\u0000"', InvalidCharacter, "nul character not allowed", (1, 1, 1, 7)),
+        (r'"\000', InvalidCharacter, "nul character not allowed", (1, 1, 1, 5)),
     ],
     ids=[
         "string-eof", "string-newline-eof", "backtick-newline", "special-eof",
         "special-newline", "unknown-escape", "hex-no-digits", "control-char",
+        "arabic-digit", "arabic-exponent", "octal-nul", "hex-nul", "unicode-nul",
+        "nul-before-unterminated",
     ],
 )
 def test_error_spans(text, error, message, span):

@@ -62,6 +62,12 @@ def test_unparseable_line_is_kept_raw(clock, log):
     assert log_table(log)[1]["expr"] == "x <- ) bad"
 
 
+def test_backtick_cut_by_a_line_break_ends_the_chunk(clock, log):
+    events = record(["x <- `abc", "y <- 1", "z <- 2"], clock=clock, log_path=log)
+    exprs = [(e.expr_text, e.meta["parsed"]) for e in events if e.kind == KIND_EXPRESSION]
+    assert exprs == [("x <- `abc\ny <- 1", False), ("z <- 2", True)]
+
+
 def test_stream_ending_midexpression_is_kept(clock, log):
     events = record(["f(1,"], clock=clock, log_path=log)
     (expr,) = [e for e in events if e.kind == KIND_EXPRESSION]
