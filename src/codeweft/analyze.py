@@ -10,11 +10,11 @@ Row = Mapping[str, object]
 
 
 def _check_columns(rows: Sequence[Row], columns: Sequence[str]) -> None:
-    if not rows:
-        return
-    missing = [c for c in columns if c not in rows[0]]
-    if missing:
-        raise UnknownColumn(f"unknown column(s): {', '.join(missing)}")
+    wanted = set(columns)
+    for i, row in enumerate(rows, 1):
+        if not row.keys() >= wanted:
+            missing = [c for c in columns if c not in row]
+            raise UnknownColumn(f"row {i}: unknown column(s): {', '.join(missing)}")
 
 
 def count_funcs(

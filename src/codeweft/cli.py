@@ -67,7 +67,6 @@ def _positive_int(text: str) -> int:
 def _output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     sub.add_argument("--output", default="-", help="output path, '-' for stdout")
-    sub.add_argument("--lexicon-path", default=None, help="directory with lexicon files")
 
 
 def build_parser() -> _Parser:
@@ -90,6 +89,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("classify", help="join tokens with lexicons")
     p.add_argument("sources", nargs="*")
     p.add_argument("--lexicon", default=None, help="crowdsource or leeklab")
+    p.add_argument("--lexicon-path", default=None, help="directory with lexicon files")
     p.add_argument("--best", action="store_true",
                    help="keep only the top classification per function")
     p.add_argument("--drop-stopfuncs", action="store_true")

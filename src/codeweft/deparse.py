@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .parser import _INFIX, _NS_BP, _POSTFIX_BP, _SPECIAL_BP, _UNARY_BP
+from .parser import _INFIX, _NS_BP, _OPERATOR_BP, _POSTFIX_BP, _SPECIAL_BP, _UNARY_BP
 from .rast import (
     Arg,
     Call,
@@ -81,10 +81,8 @@ def _own_bp(expr: Expr) -> int:
         return _POSTFIX_BP
     if _SPECIAL_RE.match(name) and len(expr.args) == 2:
         return _SPECIAL_BP
-    if name in _INFIX and len(expr.args) == 2 and not any(a.name for a in expr.args):
-        if name in ("$", "@"):
-            return _POSTFIX_BP
-        return _INFIX[name][0]
+    if name in _OPERATOR_BP and len(expr.args) == 2 and not any(a.name for a in expr.args):
+        return _OPERATOR_BP[name][0]
     if name in _UNARY_BP and len(expr.args) == 1 and expr.args[0].name is None:
         bp = _UNARY_BP[name]
         # the operand of ~ or ? absorbs the matching binary operator on

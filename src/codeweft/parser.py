@@ -67,6 +67,13 @@ _SPECIAL_BP = 24
 _UNARY_BP = {"-": 28, "+": 28, "!": 16, "~": 10, "?": 2}
 _POSTFIX_BP = 34  # ( [ [[ $ @
 _NS_BP = 36  # :: :::
+# every operator that can follow an operand, the one table parse_expr and
+# deparse read
+_OPERATOR_BP: dict[str, tuple[int, bool]] = {
+    **_INFIX,
+    **{op: (_POSTFIX_BP, False) for op in ("(", "[", "[[", "$", "@")},
+    **{op: (_NS_BP, False) for op in ("::", ":::")},
+}
 
 # each constant's literal, built from its source span
 _CONSTANTS = {
@@ -80,10 +87,16 @@ _CONSTANTS = {
 
 @dataclass
 class ProgramResult:
-    """Top-level expressions plus per-expression syntax errors."""
+    """Top-level expressions plus per-expression syntax errors.
+
+    `incomplete` is True when the first error is one that more input could
+    repair: the text ends mid-expression, inside a string, or inside a
+    backtick name.
+    """
 
     exprs: list[tuple[Expr, SrcSpan]] = field(default_factory=list)
     errors: list[SourceError] = field(default_factory=list)
+    incomplete: bool = False
 
 
 class _Parser:
@@ -136,14 +149,8 @@ class _Parser:
             text = tok.text
             if tok.kind == SPECIAL:
                 lbp, right = _SPECIAL_BP, False
-            elif tok.kind != OP:
-                break
-            elif text in _INFIX:
-                lbp, right = _INFIX[text]
-            elif text in ("(", "[", "[[", "$", "@"):
-                lbp, right = _POSTFIX_BP, False
-            elif text in ("::", ":::"):
-                lbp, right = _NS_BP, False
+            elif tok.kind == OP and text in _OPERATOR_BP:
+                lbp, right = _OPERATOR_BP[text]
             else:
                 break
             if lbp < min_bp:
@@ -427,11 +434,18 @@ def _cover_tok(tok: Token, last: Expr) -> SrcSpan:
 
 def parse_program(text: str) -> ProgramResult:
     """Parse every top-level expression, recovering at expression boundaries."""
+    # errors are kept without their traceback, whose frames would hold the
+    # result and make every failed parse a reference cycle
     result = ProgramResult()
     try:
         tokens = lexer.tokenize(text, keep_newlines=True)
     except SourceError as err:
-        result.errors.append(err)
+        result.errors.append(err.with_traceback(None))
+        # a backtick name cannot cross a line: only one cut by the end of the
+        # text can still be closed
+        result.incomplete = isinstance(err, UnterminatedString) or (
+            isinstance(err, UnterminatedBacktick) and err.span.end_line > text.count("\n")
+        )
         return result
     parser = _Parser(tokens, text)
     while True:
@@ -441,8 +455,9 @@ def parse_program(text: str) -> ProgramResult:
         try:
             result.exprs.append(parser.parse_top_level())
         except SourceError as err:
-            result.errors.append(err)
+            result.errors.append(err.with_traceback(None))
             parser.resync()
+    result.incomplete = bool(result.errors) and isinstance(result.errors[0], IncompleteInput)
     return result
 
 
@@ -463,26 +478,12 @@ def parse_expr(text: str) -> Expr:
 def is_complete(text: str) -> bool:
     """REPL completeness: False when more lines could finish the input.
 
-    Raises on hard syntax errors, so callers can distinguish the three
+    Raises the first hard syntax error, so callers can distinguish the three
     outcomes complete / incomplete / invalid.
     """
-    try:
-        tokens = lexer.tokenize(text, keep_newlines=True)
-    except UnterminatedString:
-        # a string still open at end of input keeps the REPL waiting
+    result = parse_program(text)
+    if result.incomplete:
         return False
-    except UnterminatedBacktick as err:
-        # a backtick name cannot cross a line: only one cut by the end of the
-        # input can still be closed
-        if err.span.end_line > text.count("\n"):
-            return False
-        raise
-    parser = _Parser(tokens, text)
-    while True:
-        parser.skip_separators()
-        if parser.at(EOF):
-            return True
-        try:
-            parser.parse_top_level()
-        except IncompleteInput:
-            return False
+    if result.errors:
+        raise result.errors[0]
+    return True

@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Optional
 
 from . import __version__
 from .deparse import deparse
-from .errors import MissingLog, SchemaError, SourceError
-from .parser import is_complete, parse_program
+from .errors import MissingLog, SchemaError
+from .parser import parse_program
 
 ENV_LOG_PATH = "CODEWEFT_LOG_PATH"
 
@@ -131,19 +131,14 @@ def record(
             if not chunk.strip():
                 pending.clear()
                 continue
-            try:
-                if not is_complete(chunk):
-                    continue
-            except SourceError:
+            program = parse_program(chunk)
+            if program.incomplete:
+                continue
+            if program.errors:
                 # hard syntax error: no further lines can repair it
                 emit(SessionEvent(KIND_EXPRESSION, stamp(), chunk, {"parsed": False}))
-                pending.clear()
-                continue
-            program = parse_program(chunk)
-            if program.errors:
-                emit(SessionEvent(KIND_EXPRESSION, stamp(), chunk, {"parsed": False}))
             else:
-                for expr, span in program.exprs:
+                for _, span in program.exprs:
                     text = _slice_lines(pending, span.start_line, span.end_line)
                     emit(SessionEvent(KIND_EXPRESSION, stamp(), text, {"parsed": True}))
             pending.clear()

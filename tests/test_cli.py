@@ -283,6 +283,47 @@ def test_cli_import_leaves_http_stack_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize(
+    "argv, table, message",
+    [
+        (
+            ["stats", "counts", "--by", "func"],
+            '{"func": "f"}\n{"fn": "g"}\n',
+            "row 2: unknown column(s): func",
+        ),
+        (
+            ["stats", "percent"],
+            '{"id": 1, "classification": "a"}\n{"classification": "b"}\n',
+            "row 2: unknown column(s): id",
+        ),
+        (
+            ["stats", "top", "--group", "func"],
+            '{"func": "f", "n": 3}\n{"func": "g"}\n',
+            "row 2: unknown column(s): n",
+        ),
+    ],
+    ids=["counts", "percent", "top"],
+)
+def test_column_missing_from_a_later_row_is_data_error(tmp_path, argv, table, message):
+    path = tmp_path / "table.jsonl"
+    path.write_text(table)
+    proc = run_process("-m", "codeweft.cli", *argv, "--input", str(path))
+    assert proc.returncode == 65
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse"], ["unnest"], ["stats", "counts"], ["record"], ["fetch", "m.txt"]],
+    ids=["parse", "unnest", "stats", "record", "fetch"],
+)
+def test_lexicon_path_is_a_classify_option(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--lexicon-path", "lex"])
+    assert exc.value.code == 64
+
+
 def test_lexicon_path_flag(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("CODEWEFT_LEXICON_PATH", raising=False)
     (tmp_path / "classifications.csv").write_text(

@@ -1,11 +1,14 @@
+import gc
 import time
 
 import pytest
 
+from codeweft.corpus import recital
 from codeweft.errors import (
     IncompleteInput,
     MultipleExpressions,
     RSyntaxError,
+    UnterminatedBacktick,
 )
 from codeweft.parser import is_complete, parse_expr, parse_program
 from codeweft.rast import Call, StringLit, SymbolRef, call, num, sym, to_json
@@ -118,6 +121,8 @@ def test_incomplete_signals_distinctly():
         ("x[1", False),
         ('"open', False),
         ("`open", False),
+        ("f(1)\ng(", False),
+        ("'a\nb", False),
         ("f(1)", True),
         ("x + y", True),
         ("{ x }", True),
@@ -127,6 +132,41 @@ def test_incomplete_signals_distinctly():
 )
 def test_is_complete(text, complete):
     assert is_complete(text) is complete
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        # the first error decides, even when the text ends mid-expression
+        ("x <- )\nf(", RSyntaxError),
+        # a backtick name cut by a line break can no longer be closed
+        ("`abc\nx", UnterminatedBacktick),
+    ],
+)
+def test_is_complete_raises_the_first_hard_error(text, error):
+    with pytest.raises(error) as exc:
+        is_complete(text)
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["\n".join(f"x{i} <- f({i})" for i in range(200)) + "\ny <- )\n", "x <- 1\ny <- '\\q'\n"],
+    ids=["syntax-error", "lexer-error"],
+)
+@pytest.mark.parametrize("parse", [parse_program, recital], ids=["parse_program", "recital"])
+def test_failed_parse_leaves_no_reference_cycle(text, parse):
+    # a stored error that kept its traceback would hold the parser's frames,
+    # and through them the result, so only the cyclic collector could free it
+    gc.collect()
+    gc.disable()
+    try:
+        result = parse(text)
+        assert result.errors
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_else_requires_brace_context_after_newline():

@@ -2,6 +2,8 @@
 
 import random
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from codeweft.rast import (
     strip_parens,
     sym,
 )
+from codeweft.recorder import KIND_EXPRESSION, record
 from codeweft.unnest import unnest_corpus
 
 # --- random tree generation ---------------------------------------------
@@ -106,6 +109,21 @@ def test_roundtrip_hypothesis(seed):
     text = deparse(tree)
     again = parse_expr(text)
     assert strip_parens(again) == strip_parens(tree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_record_logs_each_deparsed_program_once(seed):
+    # a console session typing canonical programs, a line at a time
+    rng = random.Random(seed)
+    trees = [random_tree(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 5))]
+    lines = "\n".join(deparse(t) for t in trees).split("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        events = record(lines, log_path=Path(tmp) / "session.jsonl")
+    exprs = [e for e in events if e.kind == KIND_EXPRESSION]
+    assert [e.meta["parsed"] for e in exprs] == [True] * len(trees)
+    for event, tree in zip(exprs, trees):
+        assert strip_parens(parse_expr(event.expr_text)) == strip_parens(tree), event.expr_text
 
 
 @settings(max_examples=300, deadline=None)
