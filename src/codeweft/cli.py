@@ -10,32 +10,18 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .analyze import class_percentages, count_funcs, top_n_by_group
-from .corpus import (
-    ReadResult,
-    fetch_manifest,
-    read_rfiles,
-)
+from .corpus import ReadResult, _decode, _read_local, fetch_manifest, read_rfiles
 from .deparse import deparse, deparse_arg
-from .errors import (
-    CodeweftError,
-    HttpError,
-    IoError,
-    SchemaError,
-    SourceError,
-    UnknownColumn,
-)
-from .lexicon import (
-    classify,
-    load_classifications,
-    load_stopfuncs,
-    remove_stopfuncs,
-)
+from .errors import CodeweftError, HttpError, IoError, SchemaError, SourceError, UnknownColumn
+from .lexicon import classify, load_classifications, load_stopfuncs, remove_stopfuncs
 from .rast import NullLit, StringLit, to_json
 from .recorder import log_table, record, remove_log
 from .unnest import unnest_corpus
@@ -126,127 +112,104 @@ def build_parser() -> _Parser:
 # --- output plumbing ----------------------------------------------------
 
 
-def _write_rows(rows: list[dict], columns: list[str], args) -> None:
+def _write_rows(rows: Iterable[Sequence], columns: list[str], args) -> None:
     if args.output == "-":
         _dump(rows, columns, args.format, sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, where main can report it
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             _dump(rows, columns, args.format, fh)
 
 
-def _dump(rows: list[dict], columns: list[str], fmt: str, fh) -> None:
+def _dump(rows: Iterable[Sequence], columns: list[str], fmt: str, fh) -> None:
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row.get(c, "") for c in columns])
+        writer.writerows(rows)
     else:
         for row in rows:
-            fh.write(json.dumps({c: row.get(c, "") for c in columns}, ensure_ascii=False))
+            fh.write(json.dumps(dict(zip(columns, row)), ensure_ascii=False))
             fh.write("\n")
 
 
-def _report_errors(result: ReadResult) -> int:
+def _stream(
+    args, columns: list[str], rows_of, results: Optional[Iterable[ReadResult]] = None
+) -> int:
+    """Write each source's `rows_of(records)` as soon as it is read, in input
+    order; print its errors; return the worst code: 66 for I/O, else 2."""
     code = EXIT_OK
-    for err in result.errors:
-        print(f"codeweft: {err}", file=sys.stderr)
-        if isinstance(err, (IoError, HttpError)):
-            code = EXIT_IO
-        elif code != EXIT_IO:
-            code = EXIT_PARSE
+    if results is None:
+        results = (read_rfiles([source]) for source in args.sources)
+
+    def rows():
+        nonlocal code
+        for result in results:
+            for err in result.errors:
+                print(f"codeweft: {err}", file=sys.stderr)
+                code = max(code, EXIT_IO if isinstance(err, (IoError, HttpError)) else EXIT_PARSE)
+            yield from rows_of(result.records)
+
+    _write_rows(rows(), columns, args)
     return code
 
 
-def _load_sources(args) -> tuple[ReadResult, int]:
-    result = read_rfiles(args.sources)
-    return result, _report_errors(result)
+def _expression_rows(json_ast: bool):
+    def rows(records):
+        for rec in records:
+            row = (rec.file, rec.line, deparse(rec.expr))
+            yield row + (json.dumps(to_json(rec.expr), ensure_ascii=False),) if json_ast else row
+
+    return rows
 
 
-def _drop_literals(result: ReadResult) -> None:
-    result.records = [
-        r for r in result.records if not isinstance(r.expr, (StringLit, NullLit))
-    ]
-
-
-def _args_cell(token) -> str:
-    return "; ".join(deparse_arg(a) for a in token.args)
+def _tokens(records, drop_literals: bool):
+    if drop_literals:
+        records = [r for r in records if not isinstance(r.expr, (StringLit, NullLit))]
+    return unnest_corpus(records)
 
 
 # --- subcommands --------------------------------------------------------
 
 
 def cmd_parse(args) -> int:
-    result, code = _load_sources(args)
-    rows = []
-    for rec in result.records:
-        row = {"file": rec.file, "line": rec.line, "text": deparse(rec.expr)}
-        if args.json_ast:
-            row["ast"] = json.dumps(to_json(rec.expr), ensure_ascii=False)
-        rows.append(row)
     columns = ["file", "line", "text"] + (["ast"] if args.json_ast else [])
-    _write_rows(rows, columns, args)
-    return code
+    return _stream(args, columns, _expression_rows(args.json_ast))
 
 
 def cmd_unnest(args) -> int:
-    result, code = _load_sources(args)
-    if args.drop_literals:
-        _drop_literals(result)
-    tokens = unnest_corpus(result.records)
-    columns = ["file", "line", "func", "args"]
-    if args.with_depth:
-        columns.append("depth")
-    rows = []
-    for t in tokens:
-        row = {"file": t.file, "line": t.line, "func": t.func, "args": _args_cell(t)}
-        if args.with_depth:
-            row["depth"] = t.depth
-        rows.append(row)
-    _write_rows(rows, columns, args)
-    return code
+    columns = ["file", "line", "func", "args"] + (["depth"] if args.with_depth else [])
+
+    def rows(records):
+        for t in _tokens(records, args.drop_literals):
+            row = (t.file, t.line, t.func, "; ".join(deparse_arg(a) for a in t.args))
+            yield row + (t.depth,) if args.with_depth else row
+
+    return _stream(args, columns, rows)
 
 
 def cmd_classify(args) -> int:
-    result, code = _load_sources(args)
-    if args.drop_literals:
-        _drop_literals(result)
-    tokens = unnest_corpus(result.records)
     lexdir = Path(args.lexicon_path) if args.lexicon_path else None
-    if args.drop_stopfuncs:
-        stops = load_stopfuncs(lexdir / "stopfuncs.txt" if lexdir else None)
-        tokens = remove_stopfuncs(tokens, stops)
+    stops = args.drop_stopfuncs and load_stopfuncs(lexdir / "stopfuncs.txt" if lexdir else None)
     entries = load_classifications(
         source=lexdir / "classifications.csv" if lexdir else None,
         which=args.lexicon,
         include_duplicates=not args.best,
     )
-    pairs = classify(tokens, entries)
-    columns = ["func", "classification"]
-    if args.lexicon is None:
-        columns.append("lexicon")
-    if not args.best:
-        columns.append("score")
-    rows = [
-        {
-            "func": t.func,
-            "classification": e.classification,
-            "lexicon": e.lexicon,
-            "score": e.score,
-        }
-        for t, e in pairs
-    ]
-    _write_rows(rows, columns, args)
-    return code
+    # func, classification, then lexicon unless one was chosen, then score unless --best
+    pick = itemgetter(0, 1, *([2] if args.lexicon is None else []), *([] if args.best else [3]))
+
+    def rows(records):
+        tokens = _tokens(records, args.drop_literals)
+        if stops:
+            tokens = remove_stopfuncs(tokens, stops)
+        for t, e in classify(tokens, entries):
+            yield pick((t.func, e.classification, e.lexicon, e.score))
+
+    return _stream(args, list(pick(("func", "classification", "lexicon", "score"))), rows)
 
 
 def _read_table(path: str) -> list[dict]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(path, str(exc)) from exc
+    text = _decode(path, sys.stdin.buffer.read()) if path == "-" else _read_local(path)
     if text.lstrip().startswith("{"):
         rows = []
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -260,8 +223,18 @@ def _read_table(path: str) -> list[dict]:
                 raise SchemaError(f"{path}:{lineno}: JSON row is not an object")
             rows.append(row)
         return rows
-    reader = csv.DictReader(io.StringIO(text))
-    return [dict(row) for row in reader]
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+    rows = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+            )
+        rows.append(dict(zip(header, row)))
+    return rows
 
 
 def cmd_stats(args) -> int:
@@ -269,19 +242,19 @@ def cmd_stats(args) -> int:
     if args.statistic == "counts":
         keys = [c.strip() for c in args.by.split(",") if c.strip()]
         out = count_funcs(rows, keys, sort=args.sort)
-        _write_rows(out, keys + ["n"], args)
+        columns = keys + ["n"]
     elif args.statistic == "percent":
         out = class_percentages(rows, unit=args.unit, class_col=args.class_col)
         if args.format == "csv":  # match the published 2-decimal tables
             for row in out:
                 row["average_percent"] = f"{row['average_percent']:.2f}"
-        _write_rows(out, [args.class_col, "average_percent"], args)
+        columns = [args.class_col, "average_percent"]
     else:
         if args.group is None:
             raise UnknownColumn("top requires --group")
         out = top_n_by_group(rows, group_col=args.group, n=args.n)
         columns = list(rows[0].keys()) if rows else [args.group, "n"]
-        _write_rows(out, columns, args)
+    _write_rows(([row.get(c, "") for c in columns] for row in out), columns, args)
     return EXIT_OK
 
 
@@ -290,21 +263,18 @@ def cmd_record(args) -> int:
         remove_log(args.log)
         return EXIT_OK
     if args.table:
-        rows = log_table(args.log)
-        _write_rows(rows, ["expr", "value", "path", "contents", "selection", "dt"], args)
+        columns = ["expr", "value", "path", "contents", "selection", "dt"]
+        _write_rows(([row[c] for c in columns] for row in log_table(args.log)), columns, args)
         return EXIT_OK
+    if isinstance(sys.stdin, io.TextIOWrapper):  # a stray byte must not end the session
+        sys.stdin.reconfigure(encoding="utf-8", errors="replace")
     record(sys.stdin, log_path=args.log, capture_values=args.value)
     return EXIT_OK
 
 
 def cmd_fetch(args) -> int:
     result = fetch_manifest(args.manifest, concurrency=args.concurrency)
-    code = _report_errors(result)
-    rows = [
-        {"file": r.file, "line": r.line, "text": deparse(r.expr)} for r in result.records
-    ]
-    _write_rows(rows, ["file", "line", "text"], args)
-    return code
+    return _stream(args, ["file", "line", "text"], _expression_rows(False), [result])
 
 
 _COMMANDS = {
@@ -321,7 +291,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (IoError, HttpError) as exc:
+    # OSError: an unwritable output, a closed pipe, a log path that cannot be one
+    except (IoError, HttpError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: send what is still buffered nowhere, quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"codeweft: {exc}", file=sys.stderr)
         return EXIT_IO
     except SourceError as exc:

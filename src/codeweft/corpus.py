@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -66,15 +65,19 @@ def _fetch_url(url: str, retries: int = 0, backoff: float = 0.5) -> str:
     raise HttpError(url, status)
 
 
+def _decode(source: str, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IoError(source, f"not valid UTF-8: {exc}") from exc
+
+
 def _read_local(path: str) -> str:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IoError(path, f"not valid UTF-8: {exc}") from exc
+    return _decode(path, data)
 
 
 def parse_source_text(source_id: str, text: str) -> ReadResult:
@@ -135,6 +138,9 @@ def fetch_manifest(
     Output ordering follows the manifest regardless of download timing;
     each URL is retried (exponential backoff) before reporting HttpError.
     """
+    # imported here: only a manifest fetch pays for the thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     if concurrency < 1:
         raise ValueError("concurrency must be positive")
     sources = read_manifest(manifest)

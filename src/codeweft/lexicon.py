@@ -9,12 +9,15 @@ pointing CODEWEFT_LEXICON_PATH at a directory with replacement
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+from .corpus import _read_local
 from .errors import (
+    IoError,
     SchemaError,
     ScoreOutOfRange,
     UnknownCategory,
@@ -81,6 +84,13 @@ def default_stopfuncs_path() -> Path:
     return _data_dir() / "stopfuncs.txt"
 
 
+def _read_text(kind: str, path: Path) -> str:
+    try:
+        return _read_local(str(path))
+    except IoError as exc:
+        raise SchemaError(f"cannot read {kind} file {exc}") from exc
+
+
 def load_classifications(
     source: Optional[str | Path] = None,
     which: Optional[str] = None,
@@ -98,34 +108,29 @@ def load_classifications(
         raise UnknownLexicon(f"unknown lexicon {which!r}; expected one of {sorted(LEXICON_NAMES)}")
 
     entries: list[ClassificationEntry] = []
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read lexicon file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _HEADER:
-            raise SchemaError(f"bad lexicon header {header!r}; expected {_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            func, classification, lexicon, score_text = row
-            if not func:
-                raise SchemaError(f"{path}:{lineno}: empty func")
-            if classification not in CATEGORIES:
-                raise UnknownCategory(f"{path}:{lineno}: unknown category {classification!r}")
-            if lexicon not in LEXICON_NAMES:
-                raise UnknownLexicon(f"{path}:{lineno}: unknown lexicon {lexicon!r}")
-            try:
-                score = float(score_text)
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: bad score {score_text!r}") from exc
-            if not 0 < score <= 1:
-                raise ScoreOutOfRange(f"{path}:{lineno}: score {score} outside (0, 1]")
-            entries.append(ClassificationEntry(func, classification, lexicon, score))
+    reader = csv.reader(io.StringIO(_read_text("lexicon", path)))
+    header = next(reader, None)
+    if header != _HEADER:
+        raise SchemaError(f"bad lexicon header {header!r}; expected {_HEADER!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise SchemaError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        func, classification, lexicon, score_text = row
+        if not func:
+            raise SchemaError(f"{path}:{lineno}: empty func")
+        if classification not in CATEGORIES:
+            raise UnknownCategory(f"{path}:{lineno}: unknown category {classification!r}")
+        if lexicon not in LEXICON_NAMES:
+            raise UnknownLexicon(f"{path}:{lineno}: unknown lexicon {lexicon!r}")
+        try:
+            score = float(score_text)
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: bad score {score_text!r}") from exc
+        if not 0 < score <= 1:
+            raise ScoreOutOfRange(f"{path}:{lineno}: score {score} outside (0, 1]")
+        entries.append(ClassificationEntry(func, classification, lexicon, score))
 
     _check_unique(entries)
     _check_normalization(entries)
@@ -200,11 +205,7 @@ def load_stopfuncs(source: Optional[str | Path] = None) -> StopFuncList:
     """Newline-delimited function names; `#` starts a comment."""
     path = Path(source) if source is not None else default_stopfuncs_path()
     funcs = set()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SchemaError(f"cannot read stopfuncs file {path}: {exc}") from exc
-    for raw in text.splitlines():
+    for raw in _read_text("stopfuncs", path).splitlines():
         line = raw.strip()
         if line.startswith("#") or not line:
             continue

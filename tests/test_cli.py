@@ -9,18 +9,24 @@ from pathlib import Path
 import pytest
 
 import codeweft
+from codeweft import cli
 from codeweft.cli import main
 
 SRC_DIR = str(Path(codeweft.__file__).resolve().parents[1])
 
 
-def run_process(*args):
-    """Run a fresh interpreter that imports this checkout's codeweft."""
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    return subprocess.run(
-        [sys.executable, *args],
-        env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60,
+def process_env():
+    return dict(os.environ, PYTHONPATH=SRC_DIR)
+
+
+def run_process(*args, stdin=b""):
+    """Run a fresh interpreter that imports this checkout's codeweft; stdin is bytes."""
+    proc = subprocess.run(
+        [sys.executable, *args], env=process_env(), input=stdin, capture_output=True, timeout=60
     )
+    proc.stdout = proc.stdout.decode("utf-8", errors="replace")
+    proc.stderr = proc.stderr.decode("utf-8", errors="replace")
+    return proc
 
 
 def run(capsys, *argv):
@@ -275,7 +281,7 @@ def test_corrupt_log_is_data_error(capsys, tmp_path, bad_line):
 
 def test_cli_import_leaves_http_stack_unloaded():
     # certifi is loaded by some interpreters' site start-up, not by codeweft
-    heavy = ["requests", "urllib3", "urllib.request", "http.client", "ssl"]
+    heavy = ["requests", "urllib3", "urllib.request", "http.client", "ssl", "concurrent.futures"]
     proc = run_process(
         "-c", f"import sys, codeweft.cli; print([m for m in {heavy!r} if m in sys.modules])"
     )
@@ -377,8 +383,10 @@ def test_lexer_error_is_isolated_and_finishes(tmp_path, bad_text, message):
             "func,n\nf,3\ng,x\n",
             "row 2: n is not an integer: 'x'",
         ),
+        (["stats", "top", "--group", "func"], "func,n\nf,3,extra\n", ":2: expected 2 fields, got 3"),
+        (["stats", "counts"], "func,n\nf,3\ng\n", ":3: expected 2 fields, got 1"),
     ],
-    ids=["bad-json", "json-array", "non-integer-n"],
+    ids=["bad-json", "json-array", "non-integer-n", "extra-field", "short-row"],
 )
 def test_corrupt_table_is_data_error(tmp_path, argv, table, message):
     path = tmp_path / "table.txt"
@@ -387,3 +395,106 @@ def test_corrupt_table_is_data_error(tmp_path, argv, table, message):
     assert proc.returncode == 65
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["parse", "unnest", "classify"])
+def test_each_source_is_written_before_the_next_is_read(monkeypatch, tmp_path, command):
+    events = []
+    read_rfiles = cli.read_rfiles
+
+    def read(sources):
+        events.append(("read", *sources))
+        return read_rfiles(sources)
+
+    class Out(io.StringIO):
+        def write(self, text):
+            events.append(("write", text))
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "read_rfiles", read)
+    monkeypatch.setattr(sys, "stdout", Out())
+    first, second = tmp_path / "a.R", tmp_path / "b.R"
+    first.write_text("library(a)\n")
+    second.write_text("library(b)\n")
+    assert main([command, str(first), str(second)]) == 0
+    before = events[: events.index(("read", str(second)))]
+    assert ("read", str(first)) in before
+    assert sum(kind == "write" for kind, _ in before) >= 2  # the header and the first rows
+
+
+@pytest.mark.parametrize(
+    "case", ["unwritable-output", "closed-pipe", "log-under-a-file", "table-of-a-dir", "remove-a-dir"]
+)
+def test_output_io_error_exits_66(tmp_path, case):
+    ok = tmp_path / "ok.R"
+    ok.write_text("f(x)\n" * 5000)  # more rows than a pipe buffer holds
+    argv = {
+        "unwritable-output": ["parse", str(ok), "--output", str(tmp_path / "no" / "x.csv")],
+        "closed-pipe": ["unnest", str(ok)],
+        "log-under-a-file": ["record", "--log", str(ok / "s.jsonl")],
+        "table-of-a-dir": ["record", "--table", "--log", str(tmp_path)],
+        "remove-a-dir": ["record", "--remove", "--log", str(tmp_path)],
+    }[case]
+    if case == "closed-pipe":  # `codeweft unnest ok.R | head -1`
+        with subprocess.Popen(
+            [sys.executable, "-m", "codeweft.cli", *argv], env=process_env(),
+            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as proc:
+            assert proc.stdout.readline() == b"file,line,func,args\n"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+    else:
+        proc = run_process("-m", "codeweft.cli", *argv)
+        code, err = proc.returncode, proc.stderr
+    assert code == 66
+    assert err.startswith("codeweft: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("input_path", ["file", "-"], ids=["file", "stdin"])
+def test_non_utf8_table_is_io_error(tmp_path, input_path):
+    table = b"func\nf\xff\n"
+    path = tmp_path / "t.csv"
+    path.write_bytes(table)
+    proc = run_process(
+        "-m", "codeweft.cli", "stats", "counts",
+        "--input", str(path) if input_path == "file" else "-", stdin=table,
+    )
+    assert proc.returncode == 66
+    assert "not valid UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "bad_file, argv",
+    [("classifications.csv", []), ("stopfuncs.txt", ["--drop-stopfuncs"])],
+    ids=["classifications", "stopfuncs"],
+)
+def test_non_utf8_lexicon_is_data_error(tmp_path, bad_file, argv):
+    (tmp_path / "classifications.csv").write_text(
+        "func,classification,lexicon,score\nlibrary,import,crowdsource,1\n"
+    )
+    (tmp_path / "stopfuncs.txt").write_text("print\n")
+    (tmp_path / bad_file).write_bytes(b"func\xff\n")
+    src = tmp_path / "s.R"
+    src.write_text("library(x)\n")
+    proc = run_process(
+        "-m", "codeweft.cli", "classify", "--lexicon-path", str(tmp_path), *argv, str(src)
+    )
+    assert proc.returncode == 65
+    assert f"{tmp_path / bad_file}: not valid UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_record_keeps_the_session_past_a_stray_byte(tmp_path):
+    log = tmp_path / "log.jsonl"
+    proc = run_process(
+        "-m", "codeweft.cli", "record", "--log", str(log), stdin=b"x <- 1\ny <- '\xff'\nz <- 3\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    events = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert [e["kind"] for e in events] == (
+        ["boundary_start"] + ["expression"] * 3 + ["boundary_stop"]
+    )
+    assert [e["expr_text"] for e in events[1:4]] == ["x <- 1", "y <- '\ufffd'", "z <- 3"]
