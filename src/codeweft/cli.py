@@ -208,7 +208,8 @@ def cmd_classify(args) -> int:
     return _stream(args, list(pick(("func", "classification", "lexicon", "score"))), rows)
 
 
-def _read_table(path: str) -> list[dict]:
+def _read_table(path: str) -> tuple[Optional[list[str]], list[dict]]:
+    """The CSV header (None for JSONL or an empty input) and the rows."""
     text = _decode(path, sys.stdin.buffer.read()) if path == "-" else _read_local(path)
     if text.lstrip().startswith("{"):
         rows = []
@@ -222,9 +223,9 @@ def _read_table(path: str) -> list[dict]:
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: JSON row is not an object")
             rows.append(row)
-        return rows
+        return None, rows
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
+    header = next(reader, None)
     rows = []
     for row in reader:
         if not row:
@@ -234,16 +235,25 @@ def _read_table(path: str) -> list[dict]:
                 f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
             )
         rows.append(dict(zip(header, row)))
-    return rows
+    return header, rows
+
+
+def _check_header(header: Optional[list[str]], wanted: list[str]) -> None:
+    # a CSV header names the columns even when no row follows it
+    missing = [c for c in wanted if header is not None and c not in header]
+    if missing:
+        raise UnknownColumn(f"unknown column(s): {', '.join(missing)}")
 
 
 def cmd_stats(args) -> int:
-    rows = _read_table(args.input)
+    header, rows = _read_table(args.input)
     if args.statistic == "counts":
         keys = [c.strip() for c in args.by.split(",") if c.strip()]
+        _check_header(header, keys)
         out = count_funcs(rows, keys, sort=args.sort)
         columns = keys + ["n"]
     elif args.statistic == "percent":
+        _check_header(header, [args.unit, args.class_col])
         out = class_percentages(rows, unit=args.unit, class_col=args.class_col)
         if args.format == "csv":  # match the published 2-decimal tables
             for row in out:
@@ -252,8 +262,9 @@ def cmd_stats(args) -> int:
     else:
         if args.group is None:
             raise UnknownColumn("top requires --group")
+        _check_header(header, [args.group, "n"])
         out = top_n_by_group(rows, group_col=args.group, n=args.n)
-        columns = list(rows[0].keys()) if rows else [args.group, "n"]
+        columns = list(rows[0]) if rows else header or [args.group, "n"]
     _write_rows(([row.get(c, "") for c in columns] for row in out), columns, args)
     return EXIT_OK
 

@@ -11,19 +11,10 @@ from __future__ import annotations
 
 import re
 
-from .parser import _INFIX, _NS_BP, _OPERATOR_BP, _POSTFIX_BP, _SPECIAL_BP, _UNARY_BP
-from .rast import (
-    Arg,
-    Call,
-    Expr,
-    LogicalLit,
-    NullLit,
-    NumLit,
-    StringLit,
-    SymbolRef,
-)
+from .parser import _INFIX, _NS_BP, _POSTFIX_BP, _SPECIAL_BP, _UNARY_BP
+from .rast import Arg, Expr, LogicalLit, NullLit, NumLit, StringLit, SymbolRef
 
-_TIGHT_OPS = {"^", ":", "$", "@", "::", ":::"}
+_TIGHT_OPS = {"^", ":"}
 _RESERVED = {
     "if", "else", "for", "while", "repeat", "function", "break", "next", "in",
     "TRUE", "FALSE", "NULL", "NA", "Inf", "NaN",
@@ -41,6 +32,8 @@ _ESCAPE_MAP = {
 _ATOM_BP = 100
 _KEYWORD_BP = 0  # if/for/while/repeat/function extend greedily rightwards
 _ARG_BP = 5  # `=` inside call parens would read as a named argument
+_SIGN_BP = _UNARY_BP["-"]  # only a unary - or + prints with this power
+_LOGICAL_TEXT = {True: "TRUE", False: "FALSE", None: "NA"}
 
 
 def escape_string(value: str) -> str:
@@ -64,156 +57,14 @@ def symbol_text(name: str) -> str:
     return f"`{name}`"
 
 
-def _own_bp(expr: Expr) -> int:
-    """Binding power of the tree's top construct, for paren insertion."""
-    if not isinstance(expr, Call):
-        return _ATOM_BP
-    name = expr.callee_name()
-    if name is None:
-        return _POSTFIX_BP
-    if name in ("(", "{", "break", "next"):
-        return _ATOM_BP
-    if name in ("if", "while", "for", "repeat", "function"):
-        return _KEYWORD_BP
-    if name in ("::", ":::") and len(expr.args) == 2:
-        return _NS_BP
-    if name in ("[", "[["):
-        return _POSTFIX_BP
-    if _SPECIAL_RE.match(name) and len(expr.args) == 2:
-        return _SPECIAL_BP
-    if name in _OPERATOR_BP and len(expr.args) == 2 and not any(a.name for a in expr.args):
-        return _OPERATOR_BP[name][0]
-    if name in _UNARY_BP and len(expr.args) == 1 and expr.args[0].name is None:
-        bp = _UNARY_BP[name]
-        # the operand of ~ or ? absorbs the matching binary operator on
-        # re-parse, so in a same-precedence context they need parens
-        return bp - 1 if name in ("~", "?") else bp
-    return _POSTFIX_BP  # ordinary call
-
-
 def deparse(expr: Expr) -> str:
     return _dp(expr, 0)
 
 
-def _dp(expr: Expr, required_bp: int, prefix_ok: bool = False) -> str:
-    text = _dp_inner(expr)
-    if _own_bp(expr) < required_bp:
-        # a prefix operator is always accepted in operand position, so it
-        # never needs parens on the right-hand side (2^-3, x + -y)
-        if prefix_ok and _is_unary_call(expr):
-            return text
-        return f"({text})"
-    return text
-
-
-def _is_unary_call(expr: Expr) -> bool:
-    # only - and + qualify: nothing binds between them and `^`, and a `^`
-    # after the operand always belongs to the operand itself. The weaker
-    # prefixes (!, ~, ?) would absorb a following tighter operator on
-    # re-parse, so they keep their parens.
-    return (
-        isinstance(expr, Call)
-        and expr.callee_name() in ("-", "+")
-        and len(expr.args) == 1
-        and expr.args[0].name is None
-    )
-
-
-def _dp_inner(expr: Expr) -> str:
-    if isinstance(expr, NullLit):
-        return "NULL"
-    if isinstance(expr, LogicalLit):
-        return {True: "TRUE", False: "FALSE", None: "NA"}[expr.value]
-    if isinstance(expr, NumLit):
-        return expr.text + ("L" if expr.is_int else "")
-    if isinstance(expr, StringLit):
-        return escape_string(expr.value)
-    if isinstance(expr, SymbolRef):
-        return symbol_text(expr.name)
-    assert isinstance(expr, Call)
-    return _dp_call(expr)
-
-
-def _dp_call(expr: Call) -> str:
-    name = expr.callee_name()
-    args = expr.args
-
-    if name == "(" and len(args) == 1 and args[0].name is None:
-        return f"({_dp(args[0].value, 0)})"
-    if name == "{":
-        if not args:
-            return "{\n}"
-        body = "\n".join("    " + _dp(a.value, 0) for a in args)
-        return "{\n" + body + "\n}"
-    if name in ("break", "next") and not args:
-        return name
-    if name == "if" and len(args) in (2, 3) and not any(a.name for a in args):
-        cond = _dp(args[0].value, 0)
-        if len(args) == 2:
-            return f"if ({cond}) {_dp(args[1].value, 0)}"
-        # a greedy consequent would swallow the else on re-parse
-        cons = args[1].value
-        cons_text = _dp(cons, 0)
-        if _own_bp(cons) == _KEYWORD_BP or _ends_with_open_if(cons):
-            cons_text = f"({cons_text})"
-        return f"if ({cond}) {cons_text} else {_dp(args[2].value, 0)}"
-    if name == "while" and len(args) == 2 and not any(a.name for a in args):
-        return f"while ({_dp(args[0].value, 0)}) {_dp(args[1].value, 0)}"
-    if name == "repeat" and len(args) == 1 and args[0].name is None:
-        return f"repeat {_dp(args[0].value, 0)}"
-    if (
-        name == "for"
-        and len(args) == 3
-        and isinstance(args[0].value, SymbolRef)
-        and not any(a.name for a in args)
-    ):
-        return (
-            f"for ({symbol_text(args[0].value.name)} in {_dp(args[1].value, 0)}) "
-            f"{_dp(args[2].value, 0)}"
-        )
-    if name == "function" and args and args[-1].name is None and all(
-        a.name is not None for a in args[:-1]
-    ):
-        formals = []
-        for a in args[:-1]:
-            if isinstance(a.value, SymbolRef) and a.value.name == "":
-                formals.append(symbol_text(a.name))  # type: ignore[arg-type]
-            else:
-                formals.append(f"{symbol_text(a.name)} = {_dp(a.value, _ARG_BP)}")  # type: ignore[arg-type]
-        return f"function({', '.join(formals)}) {_dp(args[-1].value, 0)}"
-    if name in ("[", "[[") and args and args[0].name is None:
-        obj = _dp(args[0].value, _POSTFIX_BP)
-        inner = ", ".join(_dp_arg(a) for a in args[1:])
-        return f"{obj}[{inner}]" if name == "[" else f"{obj}[[{inner}]]"
-    if name in ("$", "@", "::", ":::") and len(args) == 2 and not any(a.name for a in args):
-        lhs = _dp(args[0].value, _POSTFIX_BP if name in ("$", "@") else _NS_BP)
-        rhs = _dp_inner(args[1].value)
-        return f"{lhs}{name}{rhs}"
-    if name is not None and _SPECIAL_RE.match(name) and len(args) == 2 and not any(
-        a.name for a in args
-    ):
-        lhs = _dp(args[0].value, _SPECIAL_BP)
-        rhs = _dp(args[1].value, _SPECIAL_BP + 1, prefix_ok=True)
-        return f"{lhs} {name} {rhs}"
-    if name in _INFIX and len(args) == 2 and not any(a.name for a in args):
-        lbp, right = _INFIX[name]
-        lhs = _dp(args[0].value, lbp + 1 if right else lbp)
-        rhs = _dp(args[1].value, lbp if right else lbp + 1, prefix_ok=True)
-        if name in _TIGHT_OPS:
-            return f"{lhs}{name}{rhs}"
-        return f"{lhs} {name} {rhs}"
-    if name in _UNARY_BP and len(args) == 1 and args[0].name is None:
-        operand = _dp(args[0].value, _UNARY_BP[name], prefix_ok=True)
-        if name == "~":
-            return f"~{operand}"
-        return f"{name}{operand}"
-
-    callee = _dp(expr.callee, _POSTFIX_BP)
-    return f"{callee}({', '.join(_dp_arg(a) for a in args)})"
-
-
 def deparse_arg(arg: Arg) -> str:
     """Canonical text of one call argument (`name = value`, '' if missing)."""
+    # nested arguments print through _dp_arg, so a wrapper put around
+    # deparse_arg (a profiler's) sees one call per outside use
     return _dp_arg(arg)
 
 
@@ -226,20 +77,86 @@ def _dp_arg(arg: Arg) -> str:
     return f"{symbol_text(arg.name)} = {value}"
 
 
-def _ends_with_open_if(expr: Expr) -> bool:
-    """True when the deparsed text ends in an `if` lacking its `else`."""
-    while isinstance(expr, Call):
-        name = expr.callee_name()
-        if name == "if" and len(expr.args) == 2:
-            return True
-        if name in _INFIX and len(expr.args) == 2 and not any(a.name for a in expr.args):
-            expr = expr.args[1].value
-            continue
-        if name in ("while", "repeat") or (name == "for" and len(expr.args) == 3):
-            expr = expr.args[-1].value
-            continue
-        if name == "function" and expr.args:
-            expr = expr.args[-1].value
-            continue
-        break
-    return False
+def _dp(expr: Expr, required_bp: int, prefix_ok: bool = False) -> str:
+    text, bp = _form(expr)
+    # a sign is always accepted in operand position, so it never needs parens
+    # on the right-hand side (2^-3, x + -y): nothing binds between it and `^`,
+    # and a `^` after the operand belongs to the operand itself. The weaker
+    # prefixes (!, ~, ?) would absorb a following tighter operator on re-parse.
+    if bp < required_bp and not (prefix_ok and bp == _SIGN_BP):
+        return f"({text})"
+    return text
+
+
+def _form(expr: Expr) -> tuple[str, int]:
+    """The text `expr` prints as, with the binding power of the form printed."""
+    if isinstance(expr, SymbolRef):
+        return symbol_text(expr.name), _ATOM_BP
+    if isinstance(expr, NumLit):
+        return expr.text + ("L" if expr.is_int else ""), _ATOM_BP
+    if isinstance(expr, StringLit):
+        return escape_string(expr.value), _ATOM_BP
+    if isinstance(expr, LogicalLit):
+        return _LOGICAL_TEXT[expr.value], _ATOM_BP
+    if isinstance(expr, NullLit):
+        return "NULL", _ATOM_BP
+
+    name = expr.callee_name()
+    args = expr.args
+    n = len(args)
+    positional = not any(a.name for a in args)
+    if name == "(" and n == 1 and args[0].name is None:
+        return f"({_dp(args[0].value, 0)})", _ATOM_BP
+    if name == "{":
+        return "{\n" + "".join(f"    {_dp(a.value, 0)}\n" for a in args) + "}", _ATOM_BP
+    if name in ("break", "next") and not args:
+        return name, _ATOM_BP
+    if name == "if" and n in (2, 3) and positional:
+        text = f"if ({_dp(args[0].value, 0)}) "
+        if n == 2:
+            return text + _dp(args[1].value, 0), _KEYWORD_BP
+        # only a keyword form can end in an open `if`, which would take the
+        # else on re-parse; every other form closes or parenthesises its end
+        text += f"{_dp(args[1].value, _KEYWORD_BP + 1)} else {_dp(args[2].value, 0)}"
+        return text, _KEYWORD_BP
+    if name == "while" and n == 2 and positional:
+        return f"while ({_dp(args[0].value, 0)}) {_dp(args[1].value, 0)}", _KEYWORD_BP
+    if name == "repeat" and n == 1 and args[0].name is None:
+        return f"repeat {_dp(args[0].value, 0)}", _KEYWORD_BP
+    if name == "for" and n == 3 and positional and isinstance(args[0].value, SymbolRef):
+        head = f"for ({symbol_text(args[0].value.name)} in {_dp(args[1].value, 0)}) "
+        return head + _dp(args[2].value, 0), _KEYWORD_BP
+    if name == "function" and args and args[-1].name is None and all(
+        a.name is not None for a in args[:-1]
+    ):
+        formals = ", ".join(
+            symbol_text(a.name)  # type: ignore[arg-type]
+            + ("" if isinstance(a.value, SymbolRef) and a.value.name == ""
+               else f" = {_dp(a.value, _ARG_BP)}")
+            for a in args[:-1]
+        )
+        return f"function({formals}) {_dp(args[-1].value, 0)}", _KEYWORD_BP
+    if name in ("[", "[[") and args and args[0].name is None:
+        inner = ", ".join(_dp_arg(a) for a in args[1:])
+        close = "]" if name == "[" else "]]"
+        return f"{_dp(args[0].value, _POSTFIX_BP)}{name}{inner}{close}", _POSTFIX_BP
+    if n == 2 and positional:
+        lhs, rhs = args[0].value, args[1].value
+        if name in ("$", "@", "::", ":::"):
+            bp = _POSTFIX_BP if name in ("$", "@") else _NS_BP
+            return f"{_dp(lhs, bp)}{name}{_form(rhs)[0]}", bp
+        if name is not None and _SPECIAL_RE.match(name):
+            text = f"{_dp(lhs, _SPECIAL_BP)} {name} {_dp(rhs, _SPECIAL_BP + 1, True)}"
+            return text, _SPECIAL_BP
+        if name in _INFIX:
+            bp, right = _INFIX[name]
+            sep = "" if name in _TIGHT_OPS else " "
+            text = f"{_dp(lhs, bp + right)}{sep}{name}{sep}{_dp(rhs, bp + (not right), True)}"
+            return text, bp
+    if name in _UNARY_BP and n == 1 and args[0].name is None:
+        bp = _UNARY_BP[name]
+        # the operand of ~ or ? absorbs the matching binary operator on
+        # re-parse, so in a same-precedence context they need parens
+        return name + _dp(args[0].value, bp, True), bp - (name in ("~", "?"))
+    callee = _dp(expr.callee, _POSTFIX_BP)
+    return f"{callee}({', '.join(_dp_arg(a) for a in args)})", _POSTFIX_BP

@@ -67,8 +67,7 @@ _SPECIAL_BP = 24
 _UNARY_BP = {"-": 28, "+": 28, "!": 16, "~": 10, "?": 2}
 _POSTFIX_BP = 34  # ( [ [[ $ @
 _NS_BP = 36  # :: :::
-# every operator that can follow an operand, the one table parse_expr and
-# deparse read
+# every operator that can follow an operand, the one table parse_expr reads
 _OPERATOR_BP: dict[str, tuple[int, bool]] = {
     **_INFIX,
     **{op: (_POSTFIX_BP, False) for op in ("(", "[", "[[", "$", "@")},
@@ -165,7 +164,7 @@ class _Parser:
                 left = Call(
                     SymbolRef(text, tok.span),
                     (Arg(left), Arg(rhs)),
-                    _cover(left, rhs),
+                    SrcSpan.cover(left.span, rhs.span),
                 )
                 continue
             self.skip_newlines()
@@ -175,7 +174,8 @@ class _Parser:
             if op in ("->", "->>"):  # R rewrites rightward assignment
                 op = "<-" if op == "->" else "<<-"
                 a, b = rhs, left
-            left = Call(SymbolRef(op, tok.span), (Arg(a), Arg(b)), _cover(left, rhs))
+            span = SrcSpan.cover(left.span, rhs.span)
+            left = Call(SymbolRef(op, tok.span), (Arg(a), Arg(b)), span)
         return left
 
     def parse_operand(self) -> Expr:
@@ -214,7 +214,7 @@ class _Parser:
                 return Call(
                     SymbolRef(tok.text, tok.span),
                     (Arg(operand),),
-                    _cover_tok(tok, operand),
+                    SrcSpan.cover(tok.span, operand.span),
                 )
         self.fail("an expression")
         raise AssertionError("unreachable")
@@ -256,12 +256,12 @@ class _Parser:
         if tok.text == "[[":
             close = self.expect(OP, "]", what="']]'")
         if tok.text == "(":
-            span = SrcSpan.cover(_span_of(callee, tok), close.span)
+            span = SrcSpan.cover(callee.span, close.span)
             return Call(callee, tuple(args), span)
         # empty subscript keeps R's missing-argument slot: x[] has one
         if not args:
             args = [Arg(SymbolRef(""))]
-        span = SrcSpan.cover(_span_of(callee, tok), close.span)
+        span = SrcSpan.cover(callee.span, close.span)
         return Call(SymbolRef(tok.text, tok.span), (Arg(callee), *args), span)
 
     def parse_args(self, closer: str) -> list[Arg]:
@@ -322,18 +322,20 @@ class _Parser:
                 self.skip_newlines()
                 last = self.parse_expr(0)
                 args.append(Arg(last))
-            return Call(SymbolRef("if", tok.span), tuple(args), _cover_tok(tok, last))
+            return Call(SymbolRef("if", tok.span), tuple(args), SrcSpan.cover(tok.span, last.span))
         if kw == "while":
             self.expect(OP, "(", what="'(' after while")
             cond = self.parse_expr(0)
             self.expect(OP, ")")
             self.skip_newlines()
             body = self.parse_expr(0)
-            return Call(SymbolRef("while", tok.span), (Arg(cond), Arg(body)), _cover_tok(tok, body))
+            span = SrcSpan.cover(tok.span, body.span)
+            return Call(SymbolRef("while", tok.span), (Arg(cond), Arg(body)), span)
         if kw == "repeat":
             self.skip_newlines()
             body = self.parse_expr(0)
-            return Call(SymbolRef("repeat", tok.span), (Arg(body),), _cover_tok(tok, body))
+            span = SrcSpan.cover(tok.span, body.span)
+            return Call(SymbolRef("repeat", tok.span), (Arg(body),), span)
         if kw == "for":
             self.expect(OP, "(", what="'(' after for")
             var = self.expect(NAME, what="loop variable")
@@ -345,7 +347,7 @@ class _Parser:
             return Call(
                 SymbolRef("for", tok.span),
                 (Arg(SymbolRef(var.text, var.span)), Arg(seq), Arg(body)),
-                _cover_tok(tok, body),
+                SrcSpan.cover(tok.span, body.span),
             )
         if kw == "function":
             self.expect(OP, "(", what="'(' after function")
@@ -356,7 +358,7 @@ class _Parser:
             return Call(
                 SymbolRef("function", tok.span),
                 (*formals, Arg(body)),
-                _cover_tok(tok, body),
+                SrcSpan.cover(tok.span, body.span),
             )
         self.fail("an expression")
         raise AssertionError("unreachable")
@@ -396,12 +398,10 @@ class _Parser:
     # --- program level --------------------------------------------------
 
     def parse_top_level(self) -> tuple[Expr, SrcSpan]:
-        start = self.peek()
         expr = self.parse_expr(0)
         if not (self.at(NEWLINE) or self.at(SEMI) or self.at(EOF)):
             self.fail("newline, ';' or end of input")
-        span = expr.span if expr.span is not None else start.span
-        return expr, span
+        return expr, expr.span
 
     def resync(self) -> None:
         """Skip to the next top-level expression boundary after an error."""
@@ -414,22 +414,6 @@ class _Parser:
                 depth = max(0, depth - 1)
             elif tok.kind in (NEWLINE, SEMI) and depth == 0:
                 return
-
-
-def _span_of(expr: Expr, fallback: Token) -> SrcSpan:
-    return expr.span if expr.span is not None else fallback.span
-
-
-def _cover(a: Expr, b: Expr) -> SrcSpan | None:
-    if a.span is None or b.span is None:
-        return None
-    return SrcSpan.cover(a.span, b.span)
-
-
-def _cover_tok(tok: Token, last: Expr) -> SrcSpan:
-    if last.span is None:
-        return tok.span
-    return SrcSpan.cover(tok.span, last.span)
 
 
 def parse_program(text: str) -> ProgramResult:

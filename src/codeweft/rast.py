@@ -14,7 +14,7 @@ spelling they had in the source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,14 +146,23 @@ def num(value: Union[int, float], is_int: bool = False) -> NumLit:
     return NumLit.of(value, is_int)
 
 
+def walk_calls(expr: Expr) -> Iterator[tuple[Call, int]]:
+    """Every Call node with its nesting depth, pre-order: a call, then its
+    callee subtree, then each argument left to right. The walk keeps its own
+    stack, so a tree of any depth is walked."""
+    stack: list[tuple[Expr, int]] = [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, Call):
+            yield node, depth
+            depth += 1
+            stack.extend([(a.value, depth) for a in reversed(node.args)])
+            stack.append((node.callee, depth))
+
+
 def count_calls(expr: Expr) -> int:
     """Number of Call nodes in the tree (the unnest row count)."""
-    if not isinstance(expr, Call):
-        return 0
-    n = 1 + count_calls(expr.callee)
-    for arg in expr.args:
-        n += count_calls(arg.value)
-    return n
+    return sum(1 for _ in walk_calls(expr))
 
 
 def strip_parens(expr: Expr) -> Expr:

@@ -21,6 +21,7 @@ from . import __version__
 from .deparse import deparse
 from .errors import MissingLog, SchemaError
 from .parser import parse_program
+from .rast import SrcSpan
 
 ENV_LOG_PATH = "CODEWEFT_LOG_PATH"
 
@@ -138,8 +139,7 @@ def record(
                 # hard syntax error: no further lines can repair it
                 emit(SessionEvent(KIND_EXPRESSION, stamp(), chunk, {"parsed": False}))
             else:
-                for _, span in program.exprs:
-                    text = _slice_lines(pending, span.start_line, span.end_line)
+                for text in _expression_texts(pending, [span for _, span in program.exprs]):
                     emit(SessionEvent(KIND_EXPRESSION, stamp(), text, {"parsed": True}))
             pending.clear()
 
@@ -151,8 +151,19 @@ def record(
     return events
 
 
-def _slice_lines(lines: list[str], start: int, end: int) -> str:
-    return "\n".join(lines[start - 1 : end]).strip().strip(";").strip()
+def _expression_texts(lines: list[str], spans: list[SrcSpan]) -> list[str]:
+    """Each expression's own source text. An expression alone on its lines
+    keeps them whole, trailing comment included; where two share a line,
+    the text is cut at the column where the next one starts."""
+    texts = []
+    for prev, span, nxt in zip([None, *spans], spans, [*spans[1:], None]):
+        part = lines[span.start_line - 1 : span.end_line]
+        if nxt is not None and nxt.start_line == span.end_line:
+            part[-1] = part[-1][: nxt.start_col - 1]
+        if prev is not None and prev.end_line == span.start_line:
+            part[0] = part[0][span.start_col - 1 :]
+        texts.append("\n".join(part).strip().strip(";").strip())
+    return texts
 
 
 def read_log(log_path: Optional[str | Path] = None) -> list[SessionEvent]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .corpus import CallRecord
 from .deparse import deparse
-from .rast import Arg, Call, Expr, SymbolRef
+from .rast import Arg, Expr, SymbolRef, walk_calls
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,26 +38,11 @@ def func_name(callee: Expr) -> str:
 
 def unnest_calls(record: CallRecord) -> list[FuncToken]:
     """One FuncToken per Call node of the record's expression, pre-order."""
-    tokens: list[FuncToken] = []
-
-    def walk(expr: Expr, depth: int) -> None:
-        if not isinstance(expr, Call):
-            return
-        tokens.append(
-            FuncToken(
-                func=func_name(expr.callee),
-                args=expr.args,
-                file=record.file,
-                line=record.line,
-                depth=depth,
-            )
-        )
-        walk(expr.callee, depth + 1)
-        for arg in expr.args:
-            walk(arg.value, depth + 1)
-
-    walk(record.expr, 0)
-    return tokens
+    file, line = record.file, record.line
+    return [
+        FuncToken(func_name(call.callee), call.args, file, line, depth)
+        for call, depth in walk_calls(record.expr)
+    ]
 
 
 def unnest_corpus(records: list[CallRecord]) -> list[FuncToken]:

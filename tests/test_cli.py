@@ -188,6 +188,31 @@ def test_stats_unknown_column_is_data_error(capsys, tmp_path):
     assert code == 65 and "zz" in err
 
 
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["stats", "counts", "--by", "zz"], b"func\n"),
+        (["stats", "top", "--group", "zz"], b"func,n\n"),
+    ],
+    ids=["counts", "top"],
+)
+def test_header_only_table_checks_its_columns(argv, table):
+    proc = run_process("-m", "codeweft.cli", *argv, stdin=table)
+    assert proc.returncode == 65
+    assert proc.stdout == ""
+    assert "unknown column(s): zz" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_classify_ten_thousand_stage_pipe(tmp_path):
+    source = tmp_path / "deep.R"
+    source.write_text("x" + " %>% f()" * 10_000 + "\n")
+    proc = run_process("-m", "codeweft.cli", "classify", "--best", str(source))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    assert rows_of_csv(proc.stdout)[0]["func"] == "%>%"
+
+
 def test_record_and_table(capsys, tmp_path, monkeypatch):
     log = tmp_path / "log.jsonl"
     monkeypatch.setattr(

@@ -128,3 +128,11 @@ def test_dangling_else_is_not_captured():
     )
     text = deparse(outer)
     assert strip_parens(parse_expr(text)) == strip_parens(outer)
+
+
+@pytest.mark.parametrize("src", ["`if`(a = x) + 1", "`%in%`(1, y = 2)^2"])
+def test_call_printed_plainly_gets_a_plain_calls_parens(src):
+    # a reserved callee with named arguments prints as a plain call, which
+    # binds as tightly as any call and needs no parens as an operand
+    tree = parse_expr(src)
+    assert parse_expr(deparse(tree)) == tree

@@ -11,7 +11,7 @@ from codeweft.errors import (
     UnterminatedBacktick,
 )
 from codeweft.parser import is_complete, parse_expr, parse_program
-from codeweft.rast import Call, StringLit, SymbolRef, call, num, sym, to_json
+from codeweft.rast import Call, StringLit, SymbolRef, call, num, sym, to_json, walk_calls
 
 
 def test_golden_corpus(parser_goldens):
@@ -31,6 +31,18 @@ def test_operators_covered(parser_goldens):
         "<<-", "=", "$", "@", "::", ":::", "[", "[[", "!", "{",
     ]:
         assert op in joined, f"operator {op} not exercised"
+
+
+def test_every_parsed_node_has_a_span(parser_goldens):
+    # calls take their spans from their operands, so every node needs one;
+    # only the missing-argument slots go without, and they are never operands
+    for entry in parser_goldens:
+        for expr, span in parse_program(entry["src"]).exprs:
+            assert span is expr.span is not None, entry["src"]
+            for node, _ in walk_calls(expr):
+                assert node.callee.span is not None, entry["src"]
+                for arg in node.args:
+                    assert arg.value.span is not None or arg.value == SymbolRef(""), entry["src"]
 
 
 def test_right_assignment_is_rewritten():

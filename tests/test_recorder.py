@@ -131,3 +131,23 @@ def test_env_var_selects_path(clock, tmp_path, monkeypatch):
     record(["1"], clock=clock)
     assert target.exists()
     assert len(read_log()) == 3
+
+
+@pytest.mark.parametrize(
+    "lines, texts, rows",
+    [
+        (["x <- 1; y <- 2"], ["x <- 1", "y <- 2"], ["x <- 1", "y <- 2"]),
+        (["f(1,", "2); g()"], ["f(1,\n2)", "g()"], ["f(1, 2)", "g()"]),
+    ],
+    ids=["one-line", "shared-last-line"],
+)
+def test_expressions_sharing_a_line_log_their_own_text(clock, log, lines, texts, rows):
+    events = record(lines, clock=clock, log_path=log)
+    assert [e.expr_text for e in events if e.kind == KIND_EXPRESSION] == texts
+    assert [r["expr"] for r in log_table(log)[1:-1]] == rows
+
+
+def test_expression_alone_on_its_line_keeps_its_comment(clock, log):
+    events = record(["x <- 1  # note", "y <- 2; z"], clock=clock, log_path=log)
+    texts = [e.expr_text for e in events if e.kind == KIND_EXPRESSION]
+    assert texts == ["x <- 1  # note", "y <- 2", "z"]

@@ -1,6 +1,6 @@
 from codeweft.corpus import CallRecord, read_rfiles, recital
 from codeweft.parser import parse_expr
-from codeweft.rast import count_calls
+from codeweft.rast import call, count_calls, sym
 from codeweft.unnest import func_name, unnest_calls, unnest_corpus
 
 
@@ -78,3 +78,16 @@ def test_example_scripts_token_table(example_scripts):
     assert [t.func for t in tokens[:10]] == [
         "library", "library", "<-", "%>%", "%>%", "mutate", "/", "(", "^", "(",
     ]
+
+
+def test_ten_thousand_stage_pipe_unnests():
+    # the walk keeps its own stack: a chain far deeper than the recursion
+    # limit unnests and counts
+    tree = sym("x")
+    for _ in range(10_000):
+        tree = call("%>%", tree, call("f"))
+    tokens = unnest_corpus([CallRecord("deep.R", tree, 1)])
+    assert count_calls(tree) == len(tokens) == 20_000
+    assert [(t.func, t.depth) for t in tokens[:3]] == [("%>%", 0), ("%>%", 1), ("%>%", 2)]
+    assert [(t.func, t.depth) for t in tokens[9_999:10_001]] == [("%>%", 9_999), ("f", 10_000)]
+    assert (tokens[-1].func, tokens[-1].depth) == ("f", 1)
