@@ -74,7 +74,9 @@ def _dp_arg(arg: Arg) -> str:
     value = _dp(arg.value, _ARG_BP)
     if arg.name is None:
         return value
-    return f"{symbol_text(arg.name)} = {value}"
+    # symbol_text leaves the empty name empty, as the missing-argument slot prints
+    name = symbol_text(arg.name) or '""'
+    return f"{name} = {value}"
 
 
 def _dp(expr: Expr, required_bp: int, prefix_ok: bool = False) -> str:

@@ -55,6 +55,10 @@ class IncompleteInput(RSyntaxError):
     """Input ended mid-expression; more lines could complete it."""
 
 
+class NestingTooDeep(RSyntaxError):
+    """An expression nests deeper than `parser.MAX_NESTING` levels."""
+
+
 class MultipleExpressions(CodeweftError):
     pass
 

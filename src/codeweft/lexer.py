@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import InvalidCharacter, UnterminatedBacktick, UnterminatedString
@@ -94,6 +95,48 @@ class Token:
     quoted: bool = False  # backtick-quoted name
 
 
+class Tokens(Sequence[Token]):
+    """The tokens of one text, held in parallel lists.
+
+    Token i has kind `kinds[i]`, text `texts[i]` and decoded value
+    `values[i]`; it runs from line `lines[i]`, column `cols[i]` to line
+    `end_lines[i]`, column `end_cols[i]`, the bounds of its span. Indexing
+    and iteration build `Token`s; the parser reads the lists and builds a
+    span only for what it keeps.
+    """
+
+    __slots__ = ("source", "kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols")
+
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds: list[str] = []
+        self.texts: list[str] = []
+        self.values: list[object] = []
+        # one int object per line, shared by its tokens and the spans built from them
+        self.lines: list[int] = []
+        self.cols: list[int] = []
+        self.end_lines: list[int] = []
+        self.end_cols: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i):  # type: ignore[override]
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return Token(self.kinds[i], self.texts[i], self.span(i, i), self.values[i], self.quoted(i))
+
+    def span(self, first: int, last: int) -> SrcSpan:
+        """From the start of token `first` to the end of token `last`."""
+        return SrcSpan(
+            self.lines[first], self.cols[first], self.end_lines[last], self.end_cols[last]
+        )
+
+    def quoted(self, i: int) -> bool:
+        """Whether token i is a backtick-quoted name, two characters wider than its text."""
+        return self.kinds[i] == NAME and self.end_cols[i] - self.cols[i] - 1 == len(self.texts[i])
+
+
 def _number(raw: str) -> tuple[float, bool]:
     is_int = raw.endswith("L")
     body = raw[:-1] if is_int else raw
@@ -105,19 +148,21 @@ def _number(raw: str) -> tuple[float, bool]:
         return math.inf, is_int
 
 
-def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
+def tokenize(text: str, keep_newlines: bool = False) -> Tokens:
     """Lex `text` into tokens.
 
     With keep_newlines the stream includes expression-terminating NEWLINE
     tokens (those outside `(`/`[` groups); `tokenize` callers who only want
     the lexical content leave it off.
     """
-    tokens: list[Token] = []
+    tokens = Tokens(text)
+    kinds, texts, values = tokens.kinds, tokens.texts, tokens.values
+    lines, cols, end_lines, end_cols = tokens.lines, tokens.cols, tokens.end_lines, tokens.end_cols
     stack: list[bool] = []
     line, line_start = 1, 0  # current line number and the offset it starts at
 
     def span(start: int, end: int) -> SrcSpan:
-        """1-based inclusive span of text[start:end] in a string token; `start` is on `line`.
+        """1-based inclusive span of text[start:end], which starts on `line`.
 
         A span ending in a line break ends at column 0 of the next line.
         """
@@ -150,44 +195,45 @@ def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
         if kind == "skip":
             continue
         start, end = m.span()
-        if kind == "newline":
-            if keep_newlines and (stack[-1] if stack else True):
-                col = start - line_start + 1
-                tokens.append(Token(NEWLINE, "\n", SrcSpan(line, col, line + 1, 0)))
-            line, line_start = line + 1, end
-            continue
-        if kind == "string":
-            value = _ESCAPE_RE.sub(unescape, m["body"])
-            token_span = span(start, end)
-            if m["close"] is None:
-                raise UnterminatedString("unterminated string literal", token_span)
-            tokens.append(Token(STRING, m[0], token_span, value=value))
-            if token_span.end_line != line:
-                line, line_start = token_span.end_line, text.rindex("\n", start, end) + 1
-            continue
-        # every other token lies on one line and is not empty
         raw = m[0]
-        here = SrcSpan(line, start - line_start + 1, line, end - line_start)
+        value = None
         if kind == "name":
-            tokens.append(Token(KEYWORD if raw in KEYWORDS else NAME, raw, here))
+            if raw in KEYWORDS:
+                kind = KEYWORD
         elif kind == "op":
-            tokens.append(Token(OP, raw, here))
             if raw in _OPENERS:
                 stack.extend(_OPENERS[raw])
             elif raw in _CLOSERS and stack:
                 stack.pop()
+        elif kind == "newline":
+            if not keep_newlines or (stack and not stack[-1]):
+                line, line_start = line + 1, end
+                continue
         elif kind == "num":
-            tokens.append(Token(NUM, raw, here, value=_number(raw)))
-        elif kind == "semi":
-            tokens.append(Token(SEMI, ";", here))
+            value = _number(raw)
+        elif kind == "string":
+            value = _ESCAPE_RE.sub(unescape, m["body"])
+            if m["close"] is None:
+                raise UnterminatedString("unterminated string literal", span(start, end))
         elif kind == "special":
             if len(raw) < 2 or raw[-1] != "%":
-                raise InvalidCharacter("unterminated %..% operator", here)
-            tokens.append(Token(SPECIAL, raw, here))
+                raise InvalidCharacter("unterminated %..% operator", span(start, end))
         elif kind == "backtick":
             if len(raw) < 2 or raw[-1] != "`":
-                raise UnterminatedBacktick("unterminated backtick name", here)
-            tokens.append(Token(NAME, raw[1:-1], here, quoted=True))
-        else:  # bad
-            raise InvalidCharacter(f"invalid character {raw!r}", here)
+                raise UnterminatedBacktick("unterminated backtick name", span(start, end))
+            kind, raw = NAME, raw[1:-1]
+        elif kind == "bad":
+            raise InvalidCharacter(f"invalid character {raw!r}", span(start, end))
+        kinds.append(kind)
+        texts.append(raw)
+        values.append(value)
+        lines.append(line)
+        cols.append(start - line_start + 1)
+        if kind == NEWLINE or kind == STRING:  # the only tokens that can hold a line break
+            breaks = raw.count("\n")
+            if breaks:
+                line, line_start = line + breaks, text.rindex("\n", start, end) + 1
+        # a token ending in a line break ends at column 0 of the next line
+        end_lines.append(line)
+        end_cols.append(end - line_start)
     return tokens

@@ -18,12 +18,13 @@ from . import lexer
 from .errors import (
     IncompleteInput,
     MultipleExpressions,
+    NestingTooDeep,
     RSyntaxError,
     SourceError,
     UnterminatedBacktick,
     UnterminatedString,
 )
-from .lexer import EOF, KEYWORD, NAME, NEWLINE, NUM, OP, SEMI, SPECIAL, STRING, Token
+from .lexer import EOF, KEYWORD, NAME, NEWLINE, NUM, OP, SEMI, SPECIAL, STRING, Tokens
 from .rast import (
     Arg,
     Call,
@@ -74,6 +75,14 @@ _OPERATOR_BP: dict[str, tuple[int, bool]] = {
     **{op: (_NS_BP, False) for op in ("::", ":::")},
 }
 
+# Nesting levels an expression may have. Parentheses, braces, call and
+# index arguments, prefix operators, keyword bodies and right-associative
+# operands each add a level (one parse_expr call); left-associative chains
+# add none. R refuses deep nesting too ("contextstack overflow"); at this
+# depth the tree helpers that recurse (deparse, to_json, strip_parens)
+# still have stack to spare.
+MAX_NESTING = 100
+
 # each constant's literal, built from its source span
 _CONSTANTS = {
     "TRUE": lambda span: LogicalLit(True, span),
@@ -99,128 +108,143 @@ class ProgramResult:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], text: str):
-        last_line = text.count("\n") + 1
-        self.tokens = tokens + [Token(EOF, "", SrcSpan(last_line, 1, last_line, 1))]
+    """Recursive descent over the parallel lists of a `lexer.Tokens`.
+
+    Tokens are addressed by index; a `SrcSpan` is built only for a tree
+    node or an error. A node's span runs from its first token to the last
+    one consumed, `self.pos - 1` once it is parsed.
+    """
+
+    __slots__ = ("tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth")
+
+    def __init__(self, tokens: Tokens):
+        self.tokens = tokens
+        # a final EOF token stops every scan
+        self.kinds = tokens.kinds + [EOF]
+        self.texts = tokens.texts + [""]
+        self.values = tokens.values
+        self.span = tokens.span
         self.pos = 0
         self.brace_depth = 0
+        self.depth = 0  # parse_expr calls open
 
     # --- token plumbing -------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != EOF:
-            self.pos += 1
-        return tok
+    def advance(self) -> int:
+        """Step past the current token, never past EOF; returns its index."""
+        i = self.pos
+        if self.kinds[i] != EOF:
+            self.pos = i + 1
+        return i
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+        i = self.pos
+        return self.kinds[i] == kind and (text is None or self.texts[i] == text)
 
-    def expect(self, kind: str, text: str | None = None, what: str = "") -> Token:
+    def expect(self, kind: str, text: str | None = None, what: str = "") -> int:
         if not self.at(kind, text):
             self.fail(what or repr(text or kind))
         return self.advance()
 
     def skip_newlines(self) -> None:
-        while self.tokens[self.pos].kind == NEWLINE:  # the final EOF token stops the scan
+        while self.kinds[self.pos] == NEWLINE:
             self.pos += 1
 
     def skip_separators(self) -> None:
-        while self.tokens[self.pos].kind in (NEWLINE, SEMI):
+        while self.kinds[self.pos] in (NEWLINE, SEMI):
             self.pos += 1
 
+    def here(self) -> SrcSpan:
+        """The span of the current token; EOF sits at column 1 of the last line."""
+        i = self.pos
+        if self.kinds[i] == EOF:
+            last_line = self.tokens.source.count("\n") + 1
+            return SrcSpan(last_line, 1, last_line, 1)
+        return self.span(i, i)
+
     def fail(self, expected: str) -> None:
-        tok = self.peek()
-        if tok.kind == EOF:
-            raise IncompleteInput("unexpected end of input", tok.span, expected)
-        raise RSyntaxError(f"unexpected {tok.text!r}", tok.span, expected)
+        if self.kinds[self.pos] == EOF:
+            raise IncompleteInput("unexpected end of input", self.here(), expected)
+        raise RSyntaxError(f"unexpected {self.texts[self.pos]!r}", self.here(), expected)
 
     # --- expressions ----------------------------------------------------
 
     def parse_expr(self, min_bp: int = 0) -> Expr:
+        depth = self.depth
+        if depth > MAX_NESTING:
+            message = f"expression nested more than {MAX_NESTING} levels deep"
+            raise NestingTooDeep(message, self.here())
+        self.depth = depth + 1
+        first = self.pos
         left = self.parse_operand()
+        kinds, texts = self.kinds, self.texts
         while True:
-            tok = self.tokens[self.pos]
-            text = tok.text
-            if tok.kind == SPECIAL:
+            i = self.pos
+            kind, text = kinds[i], texts[i]
+            if kind == SPECIAL:
                 lbp, right = _SPECIAL_BP, False
-            elif tok.kind == OP and text in _OPERATOR_BP:
+            elif kind == OP and text in _OPERATOR_BP:
                 lbp, right = _OPERATOR_BP[text]
             else:
                 break
             if lbp < min_bp:
                 break
             if text in ("(", "[", "[["):
-                left = self.parse_suffix_call(left)
+                left = self.parse_suffix_call(left, first)
                 continue
-            self.pos += 1  # tok is an operator, never EOF
-            if text in ("$", "@", "::", ":::"):
-                self.skip_newlines()
-                rhs = self.parse_member_name()
-                left = Call(
-                    SymbolRef(text, tok.span),
-                    (Arg(left), Arg(rhs)),
-                    SrcSpan.cover(left.span, rhs.span),
-                )
-                continue
+            self.pos = i + 1  # an operator, never EOF
             self.skip_newlines()
-            rhs = self.parse_expr(lbp if right else lbp + 1)
-            op = text
-            a, b = left, rhs
-            if op in ("->", "->>"):  # R rewrites rightward assignment
-                op = "<-" if op == "->" else "<<-"
-                a, b = rhs, left
-            span = SrcSpan.cover(left.span, rhs.span)
-            left = Call(SymbolRef(op, tok.span), (Arg(a), Arg(b)), span)
+            if text in ("$", "@", "::", ":::"):
+                a, b = left, self.parse_member_name()
+            else:
+                a, b = left, self.parse_expr(lbp if right else lbp + 1)
+                if text in ("->", "->>"):  # R rewrites rightward assignment
+                    text = "<-" if text == "->" else "<<-"
+                    a, b = b, a
+            span = self.span(first, self.pos - 1)
+            left = Call(SymbolRef(text, self.span(i, i)), (Arg(a), Arg(b)), span)
+        self.depth = depth
         return left
 
     def parse_operand(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == NUM:
-            self.advance()
-            value, is_int = tok.value  # type: ignore[misc]
-            text = tok.text[:-1] if is_int else tok.text
-            return NumLit(text, value, is_int, tok.span)
-        if tok.kind == STRING:
-            self.advance()
-            return StringLit(tok.value, tok.span)  # type: ignore[arg-type]
-        if tok.kind == NAME:
-            self.advance()
-            if not tok.quoted and tok.text in _CONSTANTS:
-                return _CONSTANTS[tok.text](tok.span)
-            return SymbolRef(tok.text, tok.span)
-        if tok.kind == KEYWORD:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == NUM:
+            self.pos = i + 1
+            value, is_int = self.values[i]  # type: ignore[misc]
+            text = self.texts[i]
+            return NumLit(text[:-1] if is_int else text, value, is_int, self.span(i, i))
+        if kind == STRING:
+            self.pos = i + 1
+            return StringLit(self.values[i], self.span(i, i))  # type: ignore[arg-type]
+        if kind == NAME:
+            self.pos = i + 1
+            text = self.texts[i]
+            if text in _CONSTANTS and not self.tokens.quoted(i):
+                return _CONSTANTS[text](self.span(i, i))
+            return SymbolRef(text, self.span(i, i))
+        if kind == KEYWORD:
             return self.parse_keyword()
-        if tok.kind == OP:
-            if tok.text == "(":
-                self.advance()
+        if kind == OP:
+            text = self.texts[i]
+            if text == "(":
+                self.pos = i + 1
                 inner = self.parse_expr(0)
                 close = self.expect(OP, ")")
-                return Call(
-                    SymbolRef("(", tok.span),
-                    (Arg(inner),),
-                    SrcSpan.cover(tok.span, close.span),
-                )
-            if tok.text == "{":
+                return Call(SymbolRef("(", self.span(i, i)), (Arg(inner),), self.span(i, close))
+            if text == "{":
                 return self.parse_block()
-            if tok.text in _UNARY_BP:
-                self.advance()
+            if text in _UNARY_BP:
+                self.pos = i + 1
                 self.skip_newlines()
-                operand = self.parse_expr(_UNARY_BP[tok.text])
-                return Call(
-                    SymbolRef(tok.text, tok.span),
-                    (Arg(operand),),
-                    SrcSpan.cover(tok.span, operand.span),
-                )
+                operand = self.parse_expr(_UNARY_BP[text])
+                span = self.span(i, self.pos - 1)
+                return Call(SymbolRef(text, self.span(i, i)), (Arg(operand),), span)
         self.fail("an expression")
         raise AssertionError("unreachable")
 
     def parse_block(self) -> Expr:
-        open_tok = self.expect(OP, "{")
+        open_i = self.expect(OP, "{")
         self.brace_depth += 1
         stmts: list[Arg] = []
         while True:
@@ -232,37 +256,36 @@ class _Parser:
                 self.fail("'}', newline or ';'")
         close = self.advance()
         self.brace_depth -= 1
-        return Call(
-            SymbolRef("{", open_tok.span),
-            tuple(stmts),
-            SrcSpan.cover(open_tok.span, close.span),
-        )
+        span = self.span(open_i, close)
+        return Call(SymbolRef("{", self.span(open_i, open_i)), tuple(stmts), span)
 
     def parse_member_name(self) -> Expr:
-        tok = self.peek()
-        if tok.kind in (NAME, KEYWORD):
-            self.advance()
-            return SymbolRef(tok.text, tok.span)
-        if tok.kind == STRING:
-            self.advance()
-            return StringLit(tok.value, tok.span)  # type: ignore[arg-type]
+        i = self.pos
+        kind = self.kinds[i]
+        if kind in (NAME, KEYWORD):
+            self.pos = i + 1
+            return SymbolRef(self.texts[i], self.span(i, i))
+        if kind == STRING:
+            self.pos = i + 1
+            return StringLit(self.values[i], self.span(i, i))  # type: ignore[arg-type]
         self.fail("a name or string")
         raise AssertionError("unreachable")
 
-    def parse_suffix_call(self, callee: Expr) -> Expr:
-        tok = self.advance()  # ( [ [[
-        args = self.parse_args(closer=")" if tok.text == "(" else "]")
-        close = self.expect(OP, ")" if tok.text == "(" else "]")
-        if tok.text == "[[":
+    def parse_suffix_call(self, callee: Expr, first: int) -> Expr:
+        """`callee` followed by `(`, `[` or `[[`; the callee began at token `first`."""
+        i = self.advance()  # ( [ [[
+        text = self.texts[i]
+        args = self.parse_args(closer=")" if text == "(" else "]")
+        close = self.expect(OP, ")" if text == "(" else "]")
+        if text == "[[":
             close = self.expect(OP, "]", what="']]'")
-        if tok.text == "(":
-            span = SrcSpan.cover(callee.span, close.span)
+        span = self.span(first, close)
+        if text == "(":
             return Call(callee, tuple(args), span)
         # empty subscript keeps R's missing-argument slot: x[] has one
         if not args:
             args = [Arg(SymbolRef(""))]
-        span = SrcSpan.cover(callee.span, close.span)
-        return Call(SymbolRef(tok.text, tok.span), (Arg(callee), *args), span)
+        return Call(SymbolRef(text, self.span(i, i)), (Arg(callee), *args), span)
 
     def parse_args(self, closer: str) -> list[Arg]:
         args: list[Arg] = []
@@ -289,53 +312,46 @@ class _Parser:
         return args
 
     def parse_one_arg(self) -> Arg:
-        tok = self.peek()
-        if tok.kind in (NAME, STRING) and self._next_is_plain_eq():
-            self.advance()
-            self.advance()  # =
+        i = self.pos
+        kind = self.kinds[i]
+        if kind in (NAME, STRING) and self.kinds[i + 1] == OP and self.texts[i + 1] == "=":
+            self.pos = i + 2
             self.skip_newlines()
-            name = tok.text if tok.kind == NAME else tok.value
+            name = self.texts[i] if kind == NAME else self.values[i]
             return Arg(self.parse_expr(0), name=name)  # type: ignore[arg-type]
         return Arg(self.parse_expr(0))
-
-    def _next_is_plain_eq(self) -> bool:
-        nxt = self.tokens[self.pos + 1]
-        return nxt.kind == OP and nxt.text == "="
 
     # --- keyword constructs --------------------------------------------
 
     def parse_keyword(self) -> Expr:
-        tok = self.advance()
-        kw = tok.text
+        i = self.advance()
+        kw = self.texts[i]
+        kw_span = self.span(i, i)
         if kw in ("break", "next"):
-            return Call(SymbolRef(kw, tok.span), (), tok.span)
+            return Call(SymbolRef(kw, kw_span), (), kw_span)
         if kw == "if":
             self.expect(OP, "(", what="'(' after if")
             cond = self.parse_expr(0)
             self.expect(OP, ")")
             self.skip_newlines()
-            body = self.parse_expr(0)
-            args = [Arg(cond), Arg(body)]
-            last: Expr = body
+            args = [Arg(cond), Arg(self.parse_expr(0))]
             if self._else_follows():
                 self.advance()
                 self.skip_newlines()
-                last = self.parse_expr(0)
-                args.append(Arg(last))
-            return Call(SymbolRef("if", tok.span), tuple(args), SrcSpan.cover(tok.span, last.span))
+                args.append(Arg(self.parse_expr(0)))
+            return Call(SymbolRef("if", kw_span), tuple(args), self.span(i, self.pos - 1))
         if kw == "while":
             self.expect(OP, "(", what="'(' after while")
             cond = self.parse_expr(0)
             self.expect(OP, ")")
             self.skip_newlines()
             body = self.parse_expr(0)
-            span = SrcSpan.cover(tok.span, body.span)
-            return Call(SymbolRef("while", tok.span), (Arg(cond), Arg(body)), span)
+            span = self.span(i, self.pos - 1)
+            return Call(SymbolRef("while", kw_span), (Arg(cond), Arg(body)), span)
         if kw == "repeat":
             self.skip_newlines()
             body = self.parse_expr(0)
-            span = SrcSpan.cover(tok.span, body.span)
-            return Call(SymbolRef("repeat", tok.span), (Arg(body),), span)
+            return Call(SymbolRef("repeat", kw_span), (Arg(body),), self.span(i, self.pos - 1))
         if kw == "for":
             self.expect(OP, "(", what="'(' after for")
             var = self.expect(NAME, what="loop variable")
@@ -345,9 +361,9 @@ class _Parser:
             self.skip_newlines()
             body = self.parse_expr(0)
             return Call(
-                SymbolRef("for", tok.span),
-                (Arg(SymbolRef(var.text, var.span)), Arg(seq), Arg(body)),
-                SrcSpan.cover(tok.span, body.span),
+                SymbolRef("for", kw_span),
+                (Arg(SymbolRef(self.texts[var], self.span(var, var))), Arg(seq), Arg(body)),
+                self.span(i, self.pos - 1),
             )
         if kw == "function":
             self.expect(OP, "(", what="'(' after function")
@@ -356,9 +372,9 @@ class _Parser:
             self.skip_newlines()
             body = self.parse_expr(0)
             return Call(
-                SymbolRef("function", tok.span),
+                SymbolRef("function", kw_span),
                 (*formals, Arg(body)),
-                SrcSpan.cover(tok.span, body.span),
+                self.span(i, self.pos - 1),
             )
         self.fail("an expression")
         raise AssertionError("unreachable")
@@ -368,14 +384,14 @@ class _Parser:
         if self.at(OP, ")"):
             return formals
         while True:
-            name = self.expect(NAME, what="formal argument name")
+            name = self.texts[self.expect(NAME, what="formal argument name")]
             if self.at(OP, "="):
                 self.advance()
                 self.skip_newlines()
-                formals.append(Arg(self.parse_expr(0), name=name.text))
+                formals.append(Arg(self.parse_expr(0), name=name))
             else:
                 # no default: value slot holds R's missing argument
-                formals.append(Arg(SymbolRef(""), name=name.text))
+                formals.append(Arg(SymbolRef(""), name=name))
             if self.at(OP, ","):
                 self.advance()
                 continue
@@ -388,9 +404,9 @@ class _Parser:
         # `else` may start a new line only inside a braced block
         if self.brace_depth > 0:
             i = self.pos
-            while self.tokens[i].kind == NEWLINE:
+            while self.kinds[i] == NEWLINE:
                 i += 1
-            if self.tokens[i].kind == KEYWORD and self.tokens[i].text == "else":
+            if self.kinds[i] == KEYWORD and self.texts[i] == "else":
                 self.pos = i
                 return True
         return False
@@ -398,21 +414,23 @@ class _Parser:
     # --- program level --------------------------------------------------
 
     def parse_top_level(self) -> tuple[Expr, SrcSpan]:
+        self.depth = 0  # an error may have left parse_expr calls unclosed
         expr = self.parse_expr(0)
         if not (self.at(NEWLINE) or self.at(SEMI) or self.at(EOF)):
             self.fail("newline, ';' or end of input")
-        return expr, expr.span
+        return expr, expr.span  # type: ignore[return-value]
 
     def resync(self) -> None:
         """Skip to the next top-level expression boundary after an error."""
         depth = 0
         while not self.at(EOF):
-            tok = self.advance()
-            if tok.kind == OP and tok.text in ("(", "[", "[[", "{"):
-                depth += 2 if tok.text == "[[" else 1
-            elif tok.kind == OP and tok.text in (")", "]", "}"):
+            i = self.advance()
+            kind, text = self.kinds[i], self.texts[i]
+            if kind == OP and text in ("(", "[", "[[", "{"):
+                depth += 2 if text == "[[" else 1
+            elif kind == OP and text in (")", "]", "}"):
                 depth = max(0, depth - 1)
-            elif tok.kind in (NEWLINE, SEMI) and depth == 0:
+            elif kind in (NEWLINE, SEMI) and depth == 0:
                 return
 
 
@@ -431,7 +449,7 @@ def parse_program(text: str) -> ProgramResult:
             isinstance(err, UnterminatedBacktick) and err.span.end_line > text.count("\n")
         )
         return result
-    parser = _Parser(tokens, text)
+    parser = _Parser(tokens)
     while True:
         parser.skip_separators()
         if parser.at(EOF):
@@ -448,7 +466,7 @@ def parse_program(text: str) -> ProgramResult:
 def parse_expr(text: str) -> Expr:
     """Parse exactly one complete expression."""
     tokens = lexer.tokenize(text, keep_newlines=True)
-    parser = _Parser(tokens, text)
+    parser = _Parser(tokens)
     parser.skip_newlines()
     if parser.at(EOF):
         raise RSyntaxError("empty input", None, "an expression")

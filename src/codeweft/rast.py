@@ -30,10 +30,6 @@ class SrcSpan:
         if (self.start_line, self.start_col) > (self.end_line, self.end_col):
             raise ValueError(f"backwards span: {self}")
 
-    @staticmethod
-    def cover(first: "SrcSpan", last: "SrcSpan") -> "SrcSpan":
-        return SrcSpan(first.start_line, first.start_col, last.end_line, last.end_col)
-
 
 _NOSPAN = None  # spans are optional on synthesised trees
 

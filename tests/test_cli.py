@@ -398,6 +398,20 @@ def test_lexer_error_is_isolated_and_finishes(tmp_path, bad_text, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("deep_first", [True, False], ids=["deep-first", "deep-last"])
+def test_nesting_past_the_cap_is_isolated_and_finishes(tmp_path, deep_first):
+    ok = tmp_path / "ok.R"
+    ok.write_text("f(1)\ny <- 2\n", encoding="utf-8")
+    deep = tmp_path / "deep.R"
+    deep.write_text("x <- " + "(" * 1000 + "y" + ")" * 1000 + "\n", encoding="utf-8")
+    sources = [deep, ok] if deep_first else [ok, deep]
+    proc = run_process("-m", "codeweft.cli", "parse", *map(str, sources))
+    assert proc.returncode == 2
+    assert [r["text"] for r in rows_of_csv(proc.stdout)] == ["f(1)", "y <- 2"]
+    assert "nested" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv, table, message",
     [

@@ -105,6 +105,13 @@ def test_named_argument_roundtrip():
     assert deparse(tree) == "f(a = 1)"
 
 
+def test_argument_named_by_the_empty_string_keeps_its_quotes():
+    tree = parse_expr('f("" = 1, , x)')
+    assert tree.args[0].name == ""
+    assert deparse(tree) == 'f("" = 1, , x)'
+    assert parse_expr(deparse(tree)) == tree
+
+
 def test_nonsyntactic_names_get_backticks():
     assert symbol_text("my var") == "`my var`"
     assert symbol_text("if") == "`if`"

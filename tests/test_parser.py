@@ -3,15 +3,29 @@ import time
 
 import pytest
 
-from codeweft.corpus import recital
+from codeweft.corpus import CallRecord, recital
+from codeweft.deparse import deparse
 from codeweft.errors import (
     IncompleteInput,
     MultipleExpressions,
+    NestingTooDeep,
     RSyntaxError,
     UnterminatedBacktick,
 )
-from codeweft.parser import is_complete, parse_expr, parse_program
-from codeweft.rast import Call, StringLit, SymbolRef, call, num, sym, to_json, walk_calls
+from codeweft.parser import MAX_NESTING, is_complete, parse_expr, parse_program
+from codeweft.rast import (
+    Call,
+    StringLit,
+    SymbolRef,
+    call,
+    count_calls,
+    num,
+    strip_parens,
+    sym,
+    to_json,
+    walk_calls,
+)
+from codeweft.unnest import unnest_calls
 
 
 def test_golden_corpus(parser_goldens):
@@ -208,3 +222,111 @@ def test_empty_program():
 def test_comments_only_program():
     result = parse_program("# nothing here\n# at all\n")
     assert result.exprs == [] and result.errors == []
+
+
+def spans(expr):
+    """The tree as nested tuples of (callee, args, span), leaves as (value, span)."""
+    s = expr.span
+    where = (s.start_line, s.start_col, s.end_line, s.end_col)
+    if isinstance(expr, Call):
+        return (spans(expr.callee), [spans(a.value) for a in expr.args], where)
+    return (getattr(expr, "name", getattr(expr, "value", None)), where)
+
+
+@pytest.mark.parametrize(
+    "text, expected, errors",
+    [
+        (
+            'f("a\nb", x)',
+            [(("f", (1, 1, 1, 1)), [("a\nb", (1, 3, 2, 2)), ("x", (2, 5, 2, 5))], (1, 1, 2, 6))],
+            [],
+        ),
+        (
+            # the rewritten `<-` keeps the `->` token's span; operands swap
+            "1 -> x",
+            [(("<-", (1, 3, 1, 4)), [("x", (1, 6, 1, 6)), (1.0, (1, 1, 1, 1))], (1, 1, 1, 6))],
+            [],
+        ),
+        (
+            "x[[\ni\n]]",
+            [(("[[", (1, 2, 1, 3)), [("x", (1, 1, 1, 1)), ("i", (2, 1, 2, 1))], (1, 1, 3, 2))],
+            [],
+        ),
+        (
+            "`if`(a)",
+            [(("if", (1, 1, 1, 4)), [("a", (1, 6, 1, 6))], (1, 1, 1, 7))],
+            [],
+        ),
+        (
+            "x <- 1; y; f(z)",
+            [
+                (("<-", (1, 3, 1, 4)), [("x", (1, 1, 1, 1)), (1.0, (1, 6, 1, 6))], (1, 1, 1, 6)),
+                ("y", (1, 9, 1, 9)),
+                (("f", (1, 12, 1, 12)), [("z", (1, 14, 1, 14))], (1, 12, 1, 15)),
+            ],
+            [],
+        ),
+        (
+            "f(1,\n",
+            [],
+            [(IncompleteInput, "unexpected end of input; expected an expression (line 2, col 1)",
+              (2, 1, 2, 1))],
+        ),
+    ],
+    ids=["multiline-string-arg", "right-assign", "double-bracket-lines", "backtick-callee",
+         "semicolons", "unterminated-call"],
+)
+def test_node_spans(text, expected, errors):
+    result = parse_program(text)
+    assert [spans(expr) for expr, _ in result.exprs] == expected
+    assert [span for _, span in result.exprs] == [expr.span for expr, _ in result.exprs]
+    assert [
+        (type(e), str(e), (e.span.start_line, e.span.start_col, e.span.end_line, e.span.end_col))
+        for e in result.errors
+    ] == errors
+
+
+# each form nested n levels deep; every level is one more nested expression
+NESTED = {
+    "parens": lambda n: "(" * n + "x" + ")" * n,
+    "braces": lambda n: "{" * n + "x" + "}" * n,
+    "calls": lambda n: "f(" * n + "x" + ")" * n,
+    "indexing": lambda n: "x[" * n + "1" + "]" * n,
+    "double-indexing": lambda n: "x[[" * n + "1" + "]]" * n,
+    "unary-minus": lambda n: "-" * n + "x",
+    "not": lambda n: "!" * n + "x",
+    "if": lambda n: "if (a) " * n + "x",
+    "else-if": lambda n: "if (a) b else " * n + "x",
+    "function": lambda n: "function(a) " * n + "x",
+    "assignment": lambda n: "x <- " * n + "1",
+    "power": lambda n: "2^" * n + "x",
+}
+
+
+@pytest.mark.parametrize("form", NESTED)
+def test_nesting_at_the_cap_parses_deparses_unnests_and_dumps(form):
+    tree = parse_expr(NESTED[form](MAX_NESTING))
+    assert strip_parens(parse_expr(deparse(tree))) == strip_parens(tree)
+    assert len(unnest_calls(CallRecord("a.R", tree, 1))) == count_calls(tree)
+    assert to_json(tree)["kind"] == "call"
+
+
+@pytest.mark.parametrize("form", NESTED)
+def test_nesting_past_the_cap_is_a_per_expression_error(form):
+    deep = NESTED[form](MAX_NESTING + 1)
+    with pytest.raises(NestingTooDeep):
+        parse_expr(deep)
+    result = parse_program(f"a <- 1\n{deep}\nb <- 2\n")
+    assert [type(err) for err in result.errors] == [NestingTooDeep]
+    assert not result.incomplete
+    assert [span.start_line for _, span in result.exprs] == [1, 3]
+
+
+def test_nesting_far_past_the_cap_is_not_a_recursion_error():
+    # deep enough that an uncapped recursive descent runs out of stack
+    result = parse_program("x <- " + "(" * 1000 + "y" + ")" * 1000 + "\nz\n")
+    assert [type(err) for err in result.errors] == [NestingTooDeep]
+    assert isinstance(result.errors[0], RSyntaxError)
+    assert result.exprs[0][0] == sym("z")
+    with pytest.raises(NestingTooDeep):
+        is_complete("f(" * 1000)

@@ -13,7 +13,7 @@ from codeweft.analyze import class_percentages, count_funcs, top_n_by_group
 from codeweft.corpus import CallRecord
 from codeweft.deparse import deparse
 from codeweft.errors import SourceError
-from codeweft.lexer import tokenize
+from codeweft.lexer import Token, Tokens, tokenize
 from codeweft.lexicon import ClassificationEntry, StopFuncList, classify, remove_stopfuncs
 from codeweft.parser import parse_expr
 from codeweft.rast import (
@@ -246,6 +246,29 @@ _LEX_ALPHABET = "ab.xuU0123456789fFL+-*<>=!&|~:$@()[]{},;%#`'\" \t\r\n\\²\x01"
 @given(st.text(alphabet=_LEX_ALPHABET, max_size=40))
 def test_tokenize_returns_tokens_or_raises_source_error(text):
     try:
-        assert isinstance(tokenize(text, keep_newlines=True), list)
+        tokens = tokenize(text, keep_newlines=True)
     except SourceError:
-        pass
+        return
+    assert isinstance(tokens, Tokens)
+    items = list(tokens)
+    assert len(items) == len(tokens)
+    assert all(type(tok) is Token for tok in items)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=_LEX_ALPHABET, max_size=40))
+def test_token_spans_slice_back_to_the_source(text):
+    try:
+        tokens = tokenize(text, keep_newlines=True)
+    except SourceError:
+        return
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    for tok in tokens:
+        span = tok.span
+        start = line_starts[span.start_line - 1] + span.start_col - 1
+        end = line_starts[span.end_line - 1] + span.end_col  # the end is inclusive
+        assert text[start:end] == (f"`{tok.text}`" if tok.quoted else tok.text), tok
+        if tok.kind == "newline":
+            assert (span.end_line, span.end_col) == (span.start_line + 1, 0), tok
+        elif tok.kind != "string":  # only a string can cross a line break
+            assert span.end_line == span.start_line, tok
