@@ -105,10 +105,9 @@ class Tokens(Sequence[Token]):
     span only for what it keeps.
     """
 
-    __slots__ = ("source", "kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols")
+    __slots__ = ("kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols")
 
-    def __init__(self, source: str):
-        self.source = source
+    def __init__(self):
         self.kinds: list[str] = []
         self.texts: list[str] = []
         self.values: list[object] = []
@@ -121,10 +120,16 @@ class Tokens(Sequence[Token]):
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __getitem__(self, i):  # type: ignore[override]
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> Token:  # type: ignore[override]
         return Token(self.kinds[i], self.texts[i], self.span(i, i), self.values[i], self.quoted(i))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to any sequence of the same tokens, as the list it replaces was."""
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like a list
 
     def span(self, first: int, last: int) -> SrcSpan:
         """From the start of token `first` to the end of token `last`."""
@@ -155,7 +160,7 @@ def tokenize(text: str, keep_newlines: bool = False) -> Tokens:
     tokens (those outside `(`/`[` groups); `tokenize` callers who only want
     the lexical content leave it off.
     """
-    tokens = Tokens(text)
+    tokens = Tokens()
     kinds, texts, values = tokens.kinds, tokens.texts, tokens.values
     lines, cols, end_lines, end_cols = tokens.lines, tokens.cols, tokens.end_lines, tokens.end_cols
     stack: list[bool] = []

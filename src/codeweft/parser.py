@@ -115,9 +115,10 @@ class _Parser:
     one consumed, `self.pos - 1` once it is parsed.
     """
 
-    __slots__ = ("tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth")
+    __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth")
 
-    def __init__(self, tokens: Tokens):
+    def __init__(self, tokens: Tokens, text: str):
+        self.text = text
         self.tokens = tokens
         # a final EOF token stops every scan
         self.kinds = tokens.kinds + [EOF]
@@ -158,7 +159,7 @@ class _Parser:
         """The span of the current token; EOF sits at column 1 of the last line."""
         i = self.pos
         if self.kinds[i] == EOF:
-            last_line = self.tokens.source.count("\n") + 1
+            last_line = self.text.count("\n") + 1
             return SrcSpan(last_line, 1, last_line, 1)
         return self.span(i, i)
 
@@ -449,7 +450,7 @@ def parse_program(text: str) -> ProgramResult:
             isinstance(err, UnterminatedBacktick) and err.span.end_line > text.count("\n")
         )
         return result
-    parser = _Parser(tokens)
+    parser = _Parser(tokens, text)
     while True:
         parser.skip_separators()
         if parser.at(EOF):
@@ -466,7 +467,7 @@ def parse_program(text: str) -> ProgramResult:
 def parse_expr(text: str) -> Expr:
     """Parse exactly one complete expression."""
     tokens = lexer.tokenize(text, keep_newlines=True)
-    parser = _Parser(tokens)
+    parser = _Parser(tokens, text)
     parser.skip_newlines()
     if parser.at(EOF):
         raise RSyntaxError("empty input", None, "an expression")

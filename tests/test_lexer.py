@@ -119,6 +119,15 @@ def test_spans_are_one_based():
     assert (toks[1].span.start_line, toks[1].span.start_col) == (1, 3)
 
 
+def test_tokens_compare_by_value():
+    toks = tokenize("f(x)\n", keep_newlines=True)
+    assert toks == tokenize("f(x)\n", keep_newlines=True)
+    assert toks == list(toks)
+    assert toks != tokenize("f(y)\n", keep_newlines=True)
+    assert toks != tokenize("f(x)")
+    assert toks != "f(x)\n"
+
+
 def test_unterminated_string():
     with pytest.raises(UnterminatedString):
         tokenize('"abc')

@@ -26,6 +26,7 @@ from codeweft.rast import (
     walk_calls,
 )
 from codeweft.unnest import unnest_calls
+from nesting_forms import NESTED
 
 
 def test_golden_corpus(parser_goldens):
@@ -284,23 +285,6 @@ def test_node_spans(text, expected, errors):
         (type(e), str(e), (e.span.start_line, e.span.start_col, e.span.end_line, e.span.end_col))
         for e in result.errors
     ] == errors
-
-
-# each form nested n levels deep; every level is one more nested expression
-NESTED = {
-    "parens": lambda n: "(" * n + "x" + ")" * n,
-    "braces": lambda n: "{" * n + "x" + "}" * n,
-    "calls": lambda n: "f(" * n + "x" + ")" * n,
-    "indexing": lambda n: "x[" * n + "1" + "]" * n,
-    "double-indexing": lambda n: "x[[" * n + "1" + "]]" * n,
-    "unary-minus": lambda n: "-" * n + "x",
-    "not": lambda n: "!" * n + "x",
-    "if": lambda n: "if (a) " * n + "x",
-    "else-if": lambda n: "if (a) b else " * n + "x",
-    "function": lambda n: "function(a) " * n + "x",
-    "assignment": lambda n: "x <- " * n + "1",
-    "power": lambda n: "2^" * n + "x",
-}
 
 
 @pytest.mark.parametrize("form", NESTED)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Differential check of the lexer and parser against another revision.
 
-    python3 tools/parse_diff.py REV [--count N] [--seed S] [--show K]
+    python3 tools/parse_diff.py REV [--count N] [--seed S]
 
 Run from a checkout. `src/` at REV is extracted with `git archive` into a
 temporary directory, and the same dump runs in two subprocesses: one
@@ -18,7 +18,7 @@ Inputs are the parser goldens, the bundled examples, each nesting form at
 depths around and far past the parser's nesting cap, long operator
 chains, and N seeded random programs and mutations of goldens, examples
 and random programs. Differences are counted by input family and by the
-first section that differs, and the first K are printed. The exit status
+first section that differs, and the first SHOW are printed. The exit status
 is 1 on any difference. Standard library and git only.
 """
 
@@ -31,6 +31,7 @@ import io
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import tarfile
@@ -40,24 +41,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECTIONS = ["tokens", "tokens_nl", "program", "is_complete"]
+SHOW = 5  # differences printed in full
 
 # --- inputs ---------------------------------------------------------------
 
-# each nesting form, n levels deep
-NESTED = {
-    "parens": lambda n: "(" * n + "x" + ")" * n,
-    "braces": lambda n: "{" * n + "x" + "}" * n,
-    "calls": lambda n: "f(" * n + "x" + ")" * n,
-    "indexing": lambda n: "x[" * n + "1" + "]" * n,
-    "double-indexing": lambda n: "x[[" * n + "1" + "]]" * n,
-    "unary": lambda n: "-" * n + "x",
-    "not": lambda n: "!" * n + "x",
-    "if": lambda n: "if (a) " * n + "x",
-    "else-if": lambda n: "if (a) b else " * n + "x",
-    "function": lambda n: "function(a) " * n + "x",
-    "assignment": lambda n: "x <- " * n + "1",
-    "power": lambda n: "2^" * n + "x",
-}
 NESTED_DEPTHS = [10, 99, 100, 101, 102, 150, 300, 1000]
 # left-deep chains, which a parser builds in a loop
 CHAINS = {
@@ -170,7 +157,8 @@ def build_inputs(count: int, seed: int) -> list[tuple[str, str]]:
     examples = sorted((ROOT / "src" / "codeweft" / "data" / "examples").glob("*.R"))
     inputs = [("golden", g["src"]) for g in goldens]
     inputs += [("example", p.read_text(encoding="utf-8")) for p in examples]
-    inputs += [(f"deep-{form}", make(n)) for form, make in NESTED.items() for n in NESTED_DEPTHS]
+    nested = runpy.run_path(str(ROOT / "tests" / "nesting_forms.py"))["NESTED"]
+    inputs += [(f"deep-{form}", make(n)) for form, make in nested.items() for n in NESTED_DEPTHS]
     inputs += [(form, make(n)) for form, make in CHAINS.items() for n in CHAIN_LENGTHS]
     bases = [text for _, text in inputs[: len(goldens) + len(examples)]]
     rng = random.Random(seed)
@@ -289,7 +277,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("rev", nargs="?")
     ap.add_argument("--count", type=int, default=50_000, help="seeded random and mutated inputs")
     ap.add_argument("--seed", type=int, default=20261018)
-    ap.add_argument("--show", type=int, default=5, help="differences printed in full")
     ap.add_argument("--dump", nargs=2, metavar=("INPUTS", "OUT"), help=argparse.SUPPRESS)
     ap.add_argument("--only", default="", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -329,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         if not total:
             return 0
         print("  first differing section: " + ", ".join(f"{s} {n:,}" for s, n in by_section.items()))
-        shown = diffs[: args.show]
+        shown = diffs[:SHOW]
         full = dump_both(srcs, inputs_path, tmp, ",".join(str(i) for i, _ in shown))
         old_full, new_full = (
             [json.loads(line) for line in full[side].read_text(encoding="utf-8").splitlines()]
