@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NoReturn, Sequence
 
 from . import lexer
 from .errors import (
@@ -68,6 +69,8 @@ _SPECIAL_BP = 24
 _UNARY_BP = {"-": 28, "+": 28, "!": 16, "~": 10, "?": 2}
 _POSTFIX_BP = 34  # ( [ [[ $ @
 _NS_BP = 36  # :: :::
+_RIGHTWARD = {"->": "<-", "->>": "<<-"}
+_PREFIX = frozenset(("(", "{", *_UNARY_BP))  # operators that can start an operand
 # every operator that can follow an operand, the one table parse_expr reads
 _OPERATOR_BP: dict[str, tuple[int, bool]] = {
     **_INFIX,
@@ -111,8 +114,9 @@ class _Parser:
     """Recursive descent over the parallel lists of a `lexer.Tokens`.
 
     Tokens are addressed by index; a `SrcSpan` is built only for a tree
-    node or an error. A node's span runs from its first token to the last
-    one consumed, `self.pos - 1` once it is parsed.
+    node or an error. `node` is the one owner of the span rule: a node runs
+    from its first token to the last one consumed, `self.pos - 1` once it
+    is parsed.
     """
 
     __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth")
@@ -163,10 +167,16 @@ class _Parser:
             return SrcSpan(last_line, 1, last_line, 1)
         return self.span(i, i)
 
-    def fail(self, expected: str) -> None:
+    def fail(self, expected: str) -> NoReturn:
         if self.kinds[self.pos] == EOF:
             raise IncompleteInput("unexpected end of input", self.here(), expected)
         raise RSyntaxError(f"unexpected {self.texts[self.pos]!r}", self.here(), expected)
+
+    def node(self, op: int, args: Sequence[Arg], first: int, name: str | None = None) -> Call:
+        """The call of operator or keyword token `op` (called `name` if given),
+        spanning token `first` through the last token consumed."""
+        callee = SymbolRef(name or self.texts[op], self.span(op, op))
+        return Call(callee, tuple(args), self.span(first, self.pos - 1))
 
     # --- expressions ----------------------------------------------------
 
@@ -196,14 +206,12 @@ class _Parser:
             self.pos = i + 1  # an operator, never EOF
             self.skip_newlines()
             if text in ("$", "@", "::", ":::"):
-                a, b = left, self.parse_member_name()
+                operand = self.parse_member_name()
             else:
-                a, b = left, self.parse_expr(lbp if right else lbp + 1)
-                if text in ("->", "->>"):  # R rewrites rightward assignment
-                    text = "<-" if text == "->" else "<<-"
-                    a, b = b, a
-            span = self.span(first, self.pos - 1)
-            left = Call(SymbolRef(text, self.span(i, i)), (Arg(a), Arg(b)), span)
+                operand = self.parse_expr(lbp if right else lbp + 1)
+            name = _RIGHTWARD.get(text)  # R rewrites rightward assignment
+            args = (Arg(operand), Arg(left)) if name else (Arg(left), Arg(operand))
+            left = self.node(i, args, first, name)
         self.depth = depth
         return left
 
@@ -226,26 +234,22 @@ class _Parser:
             return SymbolRef(text, self.span(i, i))
         if kind == KEYWORD:
             return self.parse_keyword()
-        if kind == OP:
-            text = self.texts[i]
-            if text == "(":
-                self.pos = i + 1
-                inner = self.parse_expr(0)
-                close = self.expect(OP, ")")
-                return Call(SymbolRef("(", self.span(i, i)), (Arg(inner),), self.span(i, close))
-            if text == "{":
-                return self.parse_block()
-            if text in _UNARY_BP:
-                self.pos = i + 1
-                self.skip_newlines()
-                operand = self.parse_expr(_UNARY_BP[text])
-                span = self.span(i, self.pos - 1)
-                return Call(SymbolRef(text, self.span(i, i)), (Arg(operand),), span)
-        self.fail("an expression")
-        raise AssertionError("unreachable")
+        text = self.texts[i]
+        if kind != OP or text not in _PREFIX:
+            self.fail("an expression")
+        self.pos = i + 1
+        if text == "(":
+            args = [Arg(self.parse_expr(0))]
+            self.expect(OP, ")")
+        elif text == "{":
+            args = self.parse_block()
+        else:
+            self.skip_newlines()
+            args = [Arg(self.parse_expr(_UNARY_BP[text]))]
+        return self.node(i, args, i)
 
-    def parse_block(self) -> Expr:
-        open_i = self.expect(OP, "{")
+    def parse_block(self) -> list[Arg]:
+        """The statements after a `{`, through its `}`."""
         self.brace_depth += 1
         stmts: list[Arg] = []
         while True:
@@ -255,10 +259,9 @@ class _Parser:
             stmts.append(Arg(self.parse_expr(0)))
             if not (self.at(NEWLINE) or self.at(SEMI) or self.at(OP, "}")):
                 self.fail("'}', newline or ';'")
-        close = self.advance()
+        self.advance()
         self.brace_depth -= 1
-        span = self.span(open_i, close)
-        return Call(SymbolRef("{", self.span(open_i, open_i)), tuple(stmts), span)
+        return stmts
 
     def parse_member_name(self) -> Expr:
         i = self.pos
@@ -270,56 +273,43 @@ class _Parser:
             self.pos = i + 1
             return StringLit(self.values[i], self.span(i, i))  # type: ignore[arg-type]
         self.fail("a name or string")
-        raise AssertionError("unreachable")
 
     def parse_suffix_call(self, callee: Expr, first: int) -> Expr:
         """`callee` followed by `(`, `[` or `[[`; the callee began at token `first`."""
         i = self.advance()  # ( [ [[
         text = self.texts[i]
-        args = self.parse_args(closer=")" if text == "(" else "]")
-        close = self.expect(OP, ")" if text == "(" else "]")
+        closer = ")" if text == "(" else "]"
+        args = self.parse_args(closer)
+        self.expect(OP, closer)
         if text == "[[":
-            close = self.expect(OP, "]", what="']]'")
-        span = self.span(first, close)
+            self.expect(OP, "]", what="']]'")
         if text == "(":
-            return Call(callee, tuple(args), span)
-        # empty subscript keeps R's missing-argument slot: x[] has one
-        if not args:
-            args = [Arg(SymbolRef(""))]
-        return Call(SymbolRef(text, self.span(i, i)), (Arg(callee), *args), span)
+            return Call(callee, tuple(args), self.span(first, self.pos - 1))
+        # an empty subscript keeps R's missing-argument slot: x[] has one
+        return self.node(i, [Arg(callee), *(args or [Arg(SymbolRef(""))])], first)
 
     def parse_args(self, closer: str) -> list[Arg]:
+        """Comma-separated arguments before `closer`; an empty slot before a
+        comma or the closer is R's missing argument."""
         args: list[Arg] = []
         if self.at(OP, closer):
             return args
         while True:
-            if self.at(OP, ","):
-                args.append(Arg(SymbolRef("")))  # missing argument slot
-                self.advance()
-                if self.at(OP, closer):  # `f(,)` has two missing args
-                    args.append(Arg(SymbolRef("")))
-                    break
-                continue
-            if self.at(OP, closer):
-                break
-            args.append(self.parse_one_arg())
-            if self.at(OP, ","):
-                self.advance()
-                if self.at(OP, closer):  # trailing comma: missing final arg
-                    args.append(Arg(SymbolRef("")))
-                    break
-                continue
-            break
-        return args
+            if self.at(OP, ",") or self.at(OP, closer):
+                args.append(Arg(SymbolRef("")))
+            else:
+                args.append(self.parse_one_arg())
+            if not self.at(OP, ","):
+                return args
+            self.advance()
 
     def parse_one_arg(self) -> Arg:
         i = self.pos
         kind = self.kinds[i]
         if kind in (NAME, STRING) and self.kinds[i + 1] == OP and self.texts[i + 1] == "=":
             self.pos = i + 2
-            self.skip_newlines()
             name = self.texts[i] if kind == NAME else self.values[i]
-            return Arg(self.parse_expr(0), name=name)  # type: ignore[arg-type]
+            return Arg(self.parse_body(), name=name)  # type: ignore[arg-type]
         return Arg(self.parse_expr(0))
 
     # --- keyword constructs --------------------------------------------
@@ -327,77 +317,55 @@ class _Parser:
     def parse_keyword(self) -> Expr:
         i = self.advance()
         kw = self.texts[i]
-        kw_span = self.span(i, i)
-        if kw in ("break", "next"):
-            return Call(SymbolRef(kw, kw_span), (), kw_span)
-        if kw == "if":
-            self.expect(OP, "(", what="'(' after if")
-            cond = self.parse_expr(0)
-            self.expect(OP, ")")
-            self.skip_newlines()
-            args = [Arg(cond), Arg(self.parse_expr(0))]
-            if self._else_follows():
+        args: list[Arg] = []
+        if kw in ("if", "while", "for", "function"):
+            args = [*self.parse_head(kw), Arg(self.parse_body())]
+            if kw == "if" and self._else_follows():
                 self.advance()
-                self.skip_newlines()
-                args.append(Arg(self.parse_expr(0)))
-            return Call(SymbolRef("if", kw_span), tuple(args), self.span(i, self.pos - 1))
-        if kw == "while":
-            self.expect(OP, "(", what="'(' after while")
-            cond = self.parse_expr(0)
-            self.expect(OP, ")")
-            self.skip_newlines()
-            body = self.parse_expr(0)
-            span = self.span(i, self.pos - 1)
-            return Call(SymbolRef("while", kw_span), (Arg(cond), Arg(body)), span)
-        if kw == "repeat":
-            self.skip_newlines()
-            body = self.parse_expr(0)
-            return Call(SymbolRef("repeat", kw_span), (Arg(body),), self.span(i, self.pos - 1))
-        if kw == "for":
-            self.expect(OP, "(", what="'(' after for")
+                args.append(Arg(self.parse_body()))
+        elif kw == "repeat":
+            args = [Arg(self.parse_body())]
+        elif kw not in ("break", "next"):  # a stray else or in
+            self.fail("an expression")
+        return self.node(i, args, i)
+
+    def parse_head(self, kw: str) -> list[Arg]:
+        """The parenthesised head after if or while (the condition), for (the
+        variable and the sequence) or function (the formals)."""
+        self.expect(OP, "(", what=f"'(' after {kw}")
+        if kw == "function":
+            args = self.parse_formals()
+        elif kw == "for":
             var = self.expect(NAME, what="loop variable")
             self.expect(KEYWORD, "in", what="'in'")
-            seq = self.parse_expr(0)
-            self.expect(OP, ")")
-            self.skip_newlines()
-            body = self.parse_expr(0)
-            return Call(
-                SymbolRef("for", kw_span),
-                (Arg(SymbolRef(self.texts[var], self.span(var, var))), Arg(seq), Arg(body)),
-                self.span(i, self.pos - 1),
-            )
-        if kw == "function":
-            self.expect(OP, "(", what="'(' after function")
-            formals = self.parse_formals()
-            self.expect(OP, ")")
-            self.skip_newlines()
-            body = self.parse_expr(0)
-            return Call(
-                SymbolRef("function", kw_span),
-                (*formals, Arg(body)),
-                self.span(i, self.pos - 1),
-            )
-        self.fail("an expression")
-        raise AssertionError("unreachable")
+            args = [Arg(SymbolRef(self.texts[var], self.span(var, var))), Arg(self.parse_expr(0))]
+        else:
+            args = [Arg(self.parse_expr(0))]
+        self.expect(OP, ")")
+        return args
+
+    def parse_body(self) -> Expr:
+        """The expression after a keyword head, an `else` or a `name =`,
+        which may start on a later line."""
+        self.skip_newlines()
+        return self.parse_expr(0)
 
     def parse_formals(self) -> list[Arg]:
+        """Comma-separated formals before `)`; one without a default holds
+        R's missing argument."""
         formals: list[Arg] = []
         if self.at(OP, ")"):
             return formals
         while True:
             name = self.texts[self.expect(NAME, what="formal argument name")]
+            value: Expr = SymbolRef("")
             if self.at(OP, "="):
                 self.advance()
-                self.skip_newlines()
-                formals.append(Arg(self.parse_expr(0), name=name))
-            else:
-                # no default: value slot holds R's missing argument
-                formals.append(Arg(SymbolRef(""), name=name))
-            if self.at(OP, ","):
-                self.advance()
-                continue
-            break
-        return formals
+                value = self.parse_body()
+            formals.append(Arg(value, name=name))
+            if not self.at(OP, ","):
+                return formals
+            self.advance()
 
     def _else_follows(self) -> bool:
         if self.at(KEYWORD, "else"):

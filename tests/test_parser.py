@@ -226,9 +226,10 @@ def test_comments_only_program():
 
 
 def spans(expr):
-    """The tree as nested tuples of (callee, args, span), leaves as (value, span)."""
+    """The tree as nested tuples of (callee, args, span), leaves as (value, span);
+    a missing argument has no span."""
     s = expr.span
-    where = (s.start_line, s.start_col, s.end_line, s.end_col)
+    where = s and (s.start_line, s.start_col, s.end_line, s.end_col)
     if isinstance(expr, Call):
         return (spans(expr.callee), [spans(a.value) for a in expr.args], where)
     return (getattr(expr, "name", getattr(expr, "value", None)), where)
@@ -273,9 +274,52 @@ def spans(expr):
             [(IncompleteInput, "unexpected end of input; expected an expression (line 2, col 1)",
               (2, 1, 2, 1))],
         ),
+        (
+            "for (i in x)\n y",
+            [(("for", (1, 1, 1, 3)), [("i", (1, 6, 1, 6)), ("x", (1, 11, 1, 11)), ("y", (2, 2, 2, 2))],
+              (1, 1, 2, 2))],
+            [],
+        ),
+        (
+            "while (a) b",
+            [(("while", (1, 1, 1, 5)), [("a", (1, 8, 1, 8)), ("b", (1, 11, 1, 11))], (1, 1, 1, 11))],
+            [],
+        ),
+        (
+            "repeat break",
+            [(("repeat", (1, 1, 1, 6)), [(("break", (1, 8, 1, 12)), [], (1, 8, 1, 12))], (1, 1, 1, 12))],
+            [],
+        ),
+        ("next", [(("next", (1, 1, 1, 4)), [], (1, 1, 1, 4))], []),
+        (
+            "function(a, b = 1)\n a",
+            [(("function", (1, 1, 1, 8)), [("", None), (1.0, (1, 17, 1, 17)), ("a", (2, 2, 2, 2))],
+              (1, 1, 2, 2))],
+            [],
+        ),
+        (
+            "{ if (a) b\n else c }",
+            [(("{", (1, 1, 1, 1)),
+              [(("if", (1, 3, 1, 4)), [("a", (1, 7, 1, 7)), ("b", (1, 10, 1, 10)), ("c", (2, 7, 2, 7))],
+                (1, 3, 2, 7))],
+              (1, 1, 2, 9))],
+            [],
+        ),
+        ("f(,)", [(("f", (1, 1, 1, 1)), [("", None), ("", None)], (1, 1, 1, 4))], []),
+        ("f(a,)", [(("f", (1, 1, 1, 1)), [("a", (1, 3, 1, 3)), ("", None)], (1, 1, 1, 5))], []),
+        ("x[]", [(("[", (1, 2, 1, 2)), [("x", (1, 1, 1, 1)), ("", None)], (1, 1, 1, 3))], []),
+        (
+            "x[[1, ]]",
+            [(("[[", (1, 2, 1, 3)), [("x", (1, 1, 1, 1)), (1.0, (1, 4, 1, 4)), ("", None)], (1, 1, 1, 8))],
+            [],
+        ),
+        ("-x", [(("-", (1, 1, 1, 1)), [("x", (1, 2, 1, 2))], (1, 1, 1, 2))], []),
+        ("(x)", [(("(", (1, 1, 1, 1)), [("x", (1, 2, 1, 2))], (1, 1, 1, 3))], []),
     ],
     ids=["multiline-string-arg", "right-assign", "double-bracket-lines", "backtick-callee",
-         "semicolons", "unterminated-call"],
+         "semicolons", "unterminated-call", "for-body-next-line", "while", "repeat-break", "next",
+         "function-formals", "braced-if-else", "two-missing-args", "trailing-comma",
+         "empty-subscript", "double-bracket-trailing-comma", "unary-minus", "parens"],
 )
 def test_node_spans(text, expected, errors):
     result = parse_program(text)
