@@ -315,8 +315,11 @@ class _Parser:
     # --- keyword constructs --------------------------------------------
 
     def parse_keyword(self) -> Expr:
-        i = self.advance()
+        i = self.pos
         kw = self.texts[i]
+        if kw in ("else", "in"):  # R: unexpected 'else', at the keyword
+            self.fail("an expression")
+        self.pos = i + 1
         args: list[Arg] = []
         if kw in ("if", "while", "for", "function"):
             args = [*self.parse_head(kw), Arg(self.parse_body())]
@@ -325,8 +328,6 @@ class _Parser:
                 args.append(Arg(self.parse_body()))
         elif kw == "repeat":
             args = [Arg(self.parse_body())]
-        elif kw not in ("break", "next"):  # a stray else or in
-            self.fail("an expression")
         return self.node(i, args, i)
 
     def parse_head(self, kw: str) -> list[Arg]:

@@ -253,6 +253,15 @@ def test_partial_parse_error_exit(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_stray_else_is_reported_at_the_keyword(capsys, tmp_path):
+    src = tmp_path / "else.R"
+    src.write_text("x <- 1\nelse y\n")
+    code, out, err = run(capsys, "parse", str(src))
+    assert code == 2
+    assert [r["text"] for r in rows_of_csv(out)] == ["x <- 1"]
+    assert "unexpected 'else'" in err and "(line 2, col 1)" in err
+
+
 def test_usage_error_exit():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

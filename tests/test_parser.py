@@ -177,6 +177,18 @@ def test_is_complete_raises_the_first_hard_error(text, error):
 
 
 @pytest.mark.parametrize(
+    "text, keyword, col", [("else", "else", 1), ("x <- else", "else", 6), ("f(in", "in", 3)]
+)
+def test_stray_else_or_in_is_an_error_at_the_keyword(text, keyword, col):
+    # R: "unexpected 'else'"; not the next token's error, and no more input repairs it
+    with pytest.raises(RSyntaxError) as exc:
+        is_complete(text)
+    assert type(exc.value) is RSyntaxError
+    assert str(exc.value).startswith(f"unexpected {keyword!r}")
+    assert (exc.value.span.start_line, exc.value.span.start_col) == (1, col)
+
+
+@pytest.mark.parametrize(
     "text",
     ["\n".join(f"x{i} <- f({i})" for i in range(200)) + "\ny <- )\n", "x <- 1\ny <- '\\q'\n"],
     ids=["syntax-error", "lexer-error"],
