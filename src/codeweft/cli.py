@@ -114,6 +114,8 @@ def build_parser() -> _Parser:
 
 def _write_rows(rows: Iterable[Sequence], columns: list[str], args) -> None:
     if args.output == "-":
+        if isinstance(sys.stdout, io.TextIOWrapper):  # tables are UTF-8 in any locale
+            sys.stdout.reconfigure(encoding="utf-8")
         _dump(rows, columns, args.format, sys.stdout)
         sys.stdout.flush()  # a closed pipe fails here, where main can report it
     else:

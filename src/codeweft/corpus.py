@@ -52,7 +52,7 @@ def _fetch_url(url: str, retries: int = 0, backoff: float = 0.5) -> str:
             request = urllib.request.Request(url, headers={"User-Agent": USER_AGENT})
             with urllib.request.urlopen(request, timeout=30) as resp:
                 if resp.status == 200:
-                    return resp.read().decode("utf-8", errors="replace")
+                    return resp.read().decode("utf-8-sig", errors="replace")
                 status = resp.status
         except urllib.error.HTTPError as exc:
             exc.close()
@@ -66,8 +66,9 @@ def _fetch_url(url: str, retries: int = 0, backoff: float = 0.5) -> str:
 
 
 def _decode(source: str, data: bytes) -> str:
+    # a leading byte-order mark is dropped, as R's readLines() drops it
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise IoError(source, f"not valid UTF-8: {exc}") from exc
 

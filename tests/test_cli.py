@@ -535,6 +535,47 @@ def test_non_utf8_lexicon_is_data_error(tmp_path, bad_file, argv):
     assert "Traceback" not in proc.stderr
 
 
+def test_byte_order_mark_is_dropped_from_a_source(tmp_path, example_scripts):
+    plain = Path(example_scripts[0]).read_bytes()
+    (tmp_path / "plain.R").write_bytes(plain)
+    (tmp_path / "bom.R").write_bytes(b"\xef\xbb\xbf" + plain)
+    rows = {}
+    for name in ("plain.R", "bom.R"):
+        proc = run_process("-m", "codeweft.cli", "parse", "--json-ast", str(tmp_path / name))
+        assert proc.returncode == 0, proc.stderr
+        rows[name] = [(r["line"], r["text"], r["ast"]) for r in rows_of_csv(proc.stdout)]
+    assert rows["bom.R"] == rows["plain.R"]
+    (tmp_path / "bad.R").write_bytes(b"\xef\xbb\xbfx <- '\xff'\n")
+    proc = run_process("-m", "codeweft.cli", "parse", str(tmp_path / "bad.R"))
+    assert proc.returncode == 66 and "not valid UTF-8" in proc.stderr
+
+
+@pytest.mark.parametrize("input_path", ["file", "-"], ids=["file", "stdin"])
+def test_byte_order_mark_is_dropped_from_a_table(tmp_path, input_path):
+    table = b"\xef\xbb\xbffunc\nf\ng\nf\n"
+    path = tmp_path / "t.csv"
+    path.write_bytes(table)
+    proc = run_process(
+        "-m", "codeweft.cli", "stats", "counts", "--by", "func", "--sort",
+        "--input", str(path) if input_path == "file" else "-", stdin=table,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert rows_of_csv(proc.stdout) == [{"func": "f", "n": "2"}, {"func": "g", "n": "1"}]
+
+
+def test_stdout_table_is_utf8_in_any_locale(tmp_path):
+    src = tmp_path / "s.R"
+    src.write_text('x <- "café ✓"\n', encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = [sys.executable, "-m", "codeweft.cli", "parse", str(src)]
+    env = dict(process_env(), PYTHONIOENCODING="ascii")
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert subprocess.run(argv + ["--output", str(out)], env=env, timeout=60).returncode == 0
+    assert proc.stdout == out.read_bytes()
+    assert "café ✓".encode() in proc.stdout
+
+
 def test_record_keeps_the_session_past_a_stray_byte(tmp_path):
     log = tmp_path / "log.jsonl"
     proc = run_process(

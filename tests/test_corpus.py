@@ -13,7 +13,10 @@ from codeweft.corpus import (
     recital,
 )
 from codeweft.errors import HttpError, IoError
+from codeweft.parser import parse_expr
 from codeweft.rast import Call, StringLit
+
+BOM = b"\xef\xbb\xbf"
 
 EXAMPLE_6_CODE = """
 4 + 4
@@ -163,6 +166,18 @@ def test_persistent_failure_retries_then_raises(server, monkeypatch):
     assert result.errors[0].status == 500
     assert _Handler.hits == ["/down.R"] * 3
     assert delays == [0.5, 1.0]
+
+
+def test_byte_order_mark_is_dropped_from_a_url(server):
+    _Handler.routes["/bom.R"] = BOM + b"x <- 1\n"
+    result = read_rfiles([f"{server}/bom.R"])
+    assert not result.errors
+    assert [r.expr for r in result.records] == [parse_expr("x <- 1")]
+    assert result.records[0].expr.span.start_col == 1
+    _Handler.routes["/bom-latin.R"] = BOM + b"x <- '\xff'\n"
+    result = read_rfiles([f"{server}/bom-latin.R"])
+    assert not result.errors
+    assert result.records[0].expr.args[1].value == StringLit("\ufffd")
 
 
 def test_non_utf8_body_is_replaced(server):

@@ -167,6 +167,15 @@ def test_stopfuncs_file_errors(tmp_path):
         load_stopfuncs(empty)
 
 
+def test_byte_order_mark_is_dropped_from_lexicon_files(tmp_path):
+    stops = tmp_path / "stop.txt"
+    stops.write_bytes(b"\xef\xbb\xbfprint\n")
+    assert "print" in load_stopfuncs(stops)
+    table = tmp_path / "classifications.csv"
+    table.write_bytes(b"\xef\xbb\xbffunc,classification,lexicon,score\nzap,setup,crowdsource,1\n")
+    assert [e.func for e in load_classifications(table)] == ["zap"]
+
+
 def test_lexicon_path_override(tmp_path, monkeypatch):
     (tmp_path / "classifications.csv").write_text(
         "func,classification,lexicon,score\nzap,setup,crowdsource,1\n"
