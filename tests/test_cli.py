@@ -535,19 +535,19 @@ def test_non_utf8_lexicon_is_data_error(tmp_path, bad_file, argv):
     assert "Traceback" not in proc.stderr
 
 
-def test_byte_order_mark_is_dropped_from_a_source(tmp_path, example_scripts):
+def test_byte_order_mark_is_dropped_from_a_source(capsys, tmp_path, example_scripts):
     plain = Path(example_scripts[0]).read_bytes()
     (tmp_path / "plain.R").write_bytes(plain)
     (tmp_path / "bom.R").write_bytes(b"\xef\xbb\xbf" + plain)
     rows = {}
     for name in ("plain.R", "bom.R"):
-        proc = run_process("-m", "codeweft.cli", "parse", "--json-ast", str(tmp_path / name))
-        assert proc.returncode == 0, proc.stderr
-        rows[name] = [(r["line"], r["text"], r["ast"]) for r in rows_of_csv(proc.stdout)]
+        code, out, err = run(capsys, "parse", "--json-ast", str(tmp_path / name))
+        assert code == 0, err
+        rows[name] = [(r["line"], r["text"], r["ast"]) for r in rows_of_csv(out)]
     assert rows["bom.R"] == rows["plain.R"]
     (tmp_path / "bad.R").write_bytes(b"\xef\xbb\xbfx <- '\xff'\n")
-    proc = run_process("-m", "codeweft.cli", "parse", str(tmp_path / "bad.R"))
-    assert proc.returncode == 66 and "not valid UTF-8" in proc.stderr
+    code, _, err = run(capsys, "parse", str(tmp_path / "bad.R"))
+    assert code == 66 and "not valid UTF-8" in err
 
 
 @pytest.mark.parametrize("input_path", ["file", "-"], ids=["file", "stdin"])
