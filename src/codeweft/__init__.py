@@ -7,7 +7,7 @@ compute corpus-level statistics.
 
 from .deparse import deparse
 from .parser import parse_expr, parse_program
-from .rast import Arg, Call, Expr, LogicalLit, NullLit, NumLit, SrcSpan, StringLit, SymbolRef, is_call
+from .rast import Arg, Call, Expr, LogicalLit, NullLit, NumLit, SrcSpan, StringLit, SymbolRef
 
 __version__ = "0.1.0"
 
@@ -22,7 +22,6 @@ __all__ = [
     "StringLit",
     "SymbolRef",
     "deparse",
-    "is_call",
     "parse_expr",
     "parse_program",
     "__version__",

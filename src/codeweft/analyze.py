@@ -23,7 +23,8 @@ def count_funcs(
     """One output row per distinct key tuple with its row count `n`.
 
     With sort=True, rows are ordered by n descending, ties by key tuple
-    ascending; otherwise by first appearance.
+    ascending, each key compared as (type name, value) so that JSON values
+    of mixed types order; otherwise by first appearance.
     """
     if not keys or len(set(keys)) != len(keys):
         raise UnknownColumn("grouping keys must be non-empty and unique")
@@ -34,7 +35,7 @@ def count_funcs(
         counts[key] = counts.get(key, 0) + 1
     items = list(counts.items())
     if sort:
-        items.sort(key=lambda kv: (-kv[1], kv[0]))
+        items.sort(key=lambda kv: (-kv[1], [(type(v).__name__, v) for v in kv[0]]))
     return [dict(zip(keys, key)) | {"n": n} for key, n in items]
 
 
@@ -84,7 +85,7 @@ def top_n_by_group(
     for i, row in enumerate(count_table, 1):
         try:
             count = int(row["n"])  # type: ignore[arg-type]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"row {i}: n is not an integer: {row['n']!r}") from exc
         counts.append(count)
         by_group.setdefault(row[group_col], []).append(count)

@@ -224,19 +224,26 @@ def _read_table(path: str) -> tuple[Optional[list[str]], list[dict]]:
                 raise SchemaError(f"{path}:{lineno}: bad JSON row: {exc}") from exc
             if not isinstance(row, dict):
                 raise SchemaError(f"{path}:{lineno}: JSON row is not an object")
+            for key, value in row.items():
+                if isinstance(value, (list, dict)):
+                    raise SchemaError(f"{path}:{lineno}: column {key!r} holds a JSON list or object")
             rows.append(row)
         return None, rows
+    csv.field_size_limit(2**31 - 1)  # a deparsed call or string literal can be any length
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
     rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-            )
-        rows.append(dict(zip(header, row)))
+    try:
+        header = next(reader, None)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            rows.append(dict(zip(header, row)))
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from exc
     return header, rows
 
 

@@ -152,14 +152,9 @@ def fetch_manifest(
     return result
 
 
-def examples_dir() -> Path:
-    """Directory holding the bundled sample .R scripts."""
-    return Path(__file__).parent / "data" / "examples"
-
-
 def example_path(name: Optional[str] = None):
     """Path to a bundled sample script, or the list of available names."""
-    base = examples_dir()
+    base = Path(__file__).parent / "data" / "examples"
     if name is None:
         return sorted(p.name for p in base.glob("*.R"))
     path = base / name

@@ -28,6 +28,8 @@ _ESCAPE_MAP = {
     "\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r",
     "\a": "\\a", "\b": "\\b", "\f": "\\f", "\v": "\\v",
 }
+# every other character below 0x20 prints as a \xNN escape
+_ESCAPE_TABLE = str.maketrans({chr(c): f"\\x{c:02x}" for c in range(0x20)} | _ESCAPE_MAP)
 
 _ATOM_BP = 100
 _KEYWORD_BP = 0  # if/for/while/repeat/function extend greedily rightwards
@@ -37,16 +39,7 @@ _LOGICAL_TEXT = {True: "TRUE", False: "FALSE", None: "NA"}
 
 
 def escape_string(value: str) -> str:
-    out = ['"']
-    for ch in value:
-        if ch in _ESCAPE_MAP:
-            out.append(_ESCAPE_MAP[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\x{ord(ch):02x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + value.translate(_ESCAPE_TABLE) + '"'
 
 
 def symbol_text(name: str) -> str:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .errors import InvalidCharacter, UnterminatedBacktick, UnterminatedString
 from .rast import SrcSpan
@@ -84,25 +82,14 @@ _OPENERS = {"(": [False], "[": [False], "[[": [False, False], "{": [True]}
 _CLOSERS = frozenset([")", "]", "}"])
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexical token with its source span."""
-
-    kind: str
-    text: str
-    span: SrcSpan
-    value: object = field(default=None, compare=False)  # decoded string / number
-    quoted: bool = False  # backtick-quoted name
-
-
-class Tokens(Sequence[Token]):
+class Tokens:
     """The tokens of one text, held in parallel lists.
 
     Token i has kind `kinds[i]`, text `texts[i]` and decoded value
     `values[i]`; it runs from line `lines[i]`, column `cols[i]` to line
-    `end_lines[i]`, column `end_cols[i]`, the bounds of its span. Indexing
-    and iteration build `Token`s; the parser reads the lists and builds a
-    span only for what it keeps.
+    `end_lines[i]`, column `end_cols[i]`, the bounds of its span. `len()`
+    is the token count; the parser reads the lists and builds a span only
+    for what it keeps.
     """
 
     __slots__ = ("kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols")
@@ -119,17 +106,6 @@ class Tokens(Sequence[Token]):
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Token:  # type: ignore[override]
-        return Token(self.kinds[i], self.texts[i], self.span(i, i), self.values[i], self.quoted(i))
-
-    def __eq__(self, other: object) -> bool:
-        """Equal to any sequence of the same tokens, as the list it replaces was."""
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None  # type: ignore[assignment]  # mutable, like a list
 
     def span(self, first: int, last: int) -> SrcSpan:
         """From the start of token `first` to the end of token `last`."""

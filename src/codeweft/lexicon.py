@@ -59,29 +59,9 @@ class ClassificationEntry:
     score: float
 
 
-@dataclass(frozen=True)
-class StopFuncList:
-    """Function names the stop-function anti-join drops."""
-
-    funcs: frozenset[str]
-
-    def __contains__(self, func: str) -> bool:
-        return func in self.funcs
-
-
-def _data_dir() -> Path:
-    override = os.environ.get(ENV_LEXICON_PATH)
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
-
-
-def default_lexicon_path() -> Path:
-    return _data_dir() / "classifications.csv"
-
-
-def default_stopfuncs_path() -> Path:
-    return _data_dir() / "stopfuncs.txt"
+def _data_path(name: str) -> Path:
+    """A bundled lexicon file, or its replacement under CODEWEFT_LEXICON_PATH."""
+    return Path(os.environ.get(ENV_LEXICON_PATH) or Path(__file__).parent / "data") / name
 
 
 def _read_text(kind: str, path: Path) -> str:
@@ -103,16 +83,20 @@ def load_classifications(
     highest-scoring classification (ties broken by category name);
     downstream tabular output then omits the score column.
     """
-    path = Path(source) if source is not None else default_lexicon_path()
+    path = Path(source) if source is not None else _data_path("classifications.csv")
     if which is not None and which not in LEXICON_NAMES:
         raise UnknownLexicon(f"unknown lexicon {which!r}; expected one of {sorted(LEXICON_NAMES)}")
 
     entries: list[ClassificationEntry] = []
     reader = csv.reader(io.StringIO(_read_text("lexicon", path)))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+        rows = list(reader)
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from exc
     if header != _HEADER:
         raise SchemaError(f"bad lexicon header {header!r}; expected {_HEADER!r}")
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 4:
@@ -201,9 +185,9 @@ def classify(
     return out
 
 
-def load_stopfuncs(source: Optional[str | Path] = None) -> StopFuncList:
+def load_stopfuncs(source: Optional[str | Path] = None) -> frozenset[str]:
     """Newline-delimited function names; `#` starts a comment."""
-    path = Path(source) if source is not None else default_stopfuncs_path()
+    path = Path(source) if source is not None else _data_path("stopfuncs.txt")
     funcs = set()
     for raw in _read_text("stopfuncs", path).splitlines():
         line = raw.strip()
@@ -212,11 +196,9 @@ def load_stopfuncs(source: Optional[str | Path] = None) -> StopFuncList:
         funcs.add(line)
     if not funcs:
         raise SchemaError(f"stopfuncs file {path} is empty")
-    return StopFuncList(frozenset(funcs))
+    return frozenset(funcs)
 
 
-def remove_stopfuncs(
-    tokens: Sequence[FuncToken], stops: StopFuncList
-) -> list[FuncToken]:
+def remove_stopfuncs(tokens: Sequence[FuncToken], stops: frozenset[str]) -> list[FuncToken]:
     """Anti-join: tokens whose func is not a stop function, order kept."""
     return [t for t in tokens if t.func not in stops]

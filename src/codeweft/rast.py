@@ -123,23 +123,11 @@ class Call:
 Expr = Union[NullLit, LogicalLit, NumLit, StringLit, SymbolRef, Call]
 
 
-def is_call(expr: Expr) -> bool:
-    return isinstance(expr, Call)
-
-
 def call(name: str, *args: Union[Expr, Arg], **named: Expr) -> Call:
     """Convenience constructor used by tests: call("+", a, b)."""
     built = [a if isinstance(a, Arg) else Arg(a) for a in args]
     built += [Arg(v, name=k) for k, v in named.items()]
     return Call(SymbolRef(name), tuple(built))
-
-
-def sym(name: str) -> SymbolRef:
-    return SymbolRef(name)
-
-
-def num(value: Union[int, float], is_int: bool = False) -> NumLit:
-    return NumLit.of(value, is_int)
 
 
 def walk_calls(expr: Expr) -> Iterator[tuple[Call, int]]:

@@ -15,7 +15,6 @@ from codeweft.corpus import CallRecord, read_rfiles, recital
 from codeweft.deparse import deparse
 from codeweft.lexicon import (
     ClassificationEntry,
-    StopFuncList,
     classify,
     load_classifications,
     load_stopfuncs,
@@ -153,7 +152,7 @@ def test_07_property_suites():
         ]
     )
     names = sorted({t.func for t in tokens})
-    stops = StopFuncList(frozenset(names[:5]))
+    stops = frozenset(names[:5])
     if remove_stopfuncs(tokens, stops) != [t for t in tokens if t.func not in stops]:
         failures += 1
     entries = [ClassificationEntry(f, "setup", "leeklab", 1.0) for f in names[5:12]]

@@ -433,8 +433,28 @@ def test_nesting_past_the_cap_is_isolated_and_finishes(tmp_path, deep_first):
         ),
         (["stats", "top", "--group", "func"], "func,n\nf,3,extra\n", ":2: expected 2 fields, got 3"),
         (["stats", "counts"], "func,n\nf,3\ng\n", ":3: expected 2 fields, got 1"),
+        (["stats", "counts"], '{"func": ["a"]}\n', ":1: column 'func' holds a JSON list or object"),
+        (
+            ["stats", "top", "--group", "func"],
+            '{"func": ["a"], "n": 1}\n',
+            ":1: column 'func' holds a JSON list or object",
+        ),
+        (
+            ["stats", "percent"],
+            '{"id": {"a": 1}, "classification": "x"}\n',
+            ":1: column 'id' holds a JSON list or object",
+        ),
+        (
+            ["stats", "top", "--group", "func"],
+            '{"func": "f", "n": 1e400}\n',
+            "row 1: n is not an integer: inf",
+        ),
+        (["stats", "counts"], "func\na\rb\n", ":2: malformed CSV: "),
     ],
-    ids=["bad-json", "json-array", "non-integer-n", "extra-field", "short-row"],
+    ids=[
+        "bad-json", "json-array", "non-integer-n", "extra-field", "short-row", "json-list-counts",
+        "json-list-top", "json-object-percent", "overflowing-n", "bare-carriage-return",
+    ],
 )
 def test_corrupt_table_is_data_error(tmp_path, argv, table, message):
     path = tmp_path / "table.txt"
@@ -442,6 +462,43 @@ def test_corrupt_table_is_data_error(tmp_path, argv, table, message):
     proc = run_process("-m", "codeweft.cli", *argv, "--input", str(path))
     assert proc.returncode == 65
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "table, expected",
+    [('{"func": "a"}\n{"func": 1}\n', "1,1\na,1\n"), ('{"func": "a"}\n{"func": null}\n', ",1\na,1\n")],
+    ids=["number-and-string", "null-and-string"],
+)
+def test_sorted_counts_order_mixed_json_key_types(tmp_path, table, expected):
+    path = tmp_path / "table.jsonl"
+    path.write_text(table)
+    proc = run_process("-m", "codeweft.cli", "stats", "counts", "--sort", "--input", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "func,n\n" + expected
+
+
+def test_stats_reads_a_table_with_a_long_field(tmp_path):
+    # a string literal longer than the csv module's default field limit (131072)
+    big = tmp_path / "big.R"
+    big.write_text('x <- "' + "a" * 140_000 + '"\n')
+    parsed = run_process("-m", "codeweft.cli", "parse", str(big))
+    assert parsed.returncode == 0, parsed.stderr
+    proc = run_process(
+        "-m", "codeweft.cli", "stats", "counts", "--by", "file", stdin=parsed.stdout.encode()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert rows_of_csv(proc.stdout) == [{"file": str(big), "n": "1"}]
+
+
+def test_malformed_lexicon_csv_is_data_error(tmp_path):
+    lexicon = tmp_path / "classifications.csv"
+    lexicon.write_text("func,classification,lexicon,score\n" + "f" * 200_000 + ",import,crowdsource,1\n")
+    src = tmp_path / "s.R"
+    src.write_text("library(x)\n")
+    proc = run_process("-m", "codeweft.cli", "classify", "--lexicon-path", str(tmp_path), str(src))
+    assert proc.returncode == 65
+    assert f"{lexicon}:2: malformed CSV: " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

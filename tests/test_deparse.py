@@ -2,7 +2,7 @@ import pytest
 
 from codeweft.deparse import deparse, escape_string, symbol_text
 from codeweft.parser import parse_expr
-from codeweft.rast import Arg, Call, call, num, strip_parens, sym
+from codeweft.rast import Arg, Call, NumLit, SymbolRef, call, strip_parens
 
 
 @pytest.mark.parametrize(
@@ -83,25 +83,25 @@ def test_roundtrip_preserves_structure(parser_goldens):
 
 
 def test_synthesized_tree_gets_parens():
-    tree = call("*", call("+", sym("a"), sym("b")), sym("c"))
+    tree = call("*", call("+", SymbolRef("a"), SymbolRef("b")), SymbolRef("c"))
     assert deparse(tree) == "(a + b) * c"
 
 
 def test_synthesized_tree_without_need_for_parens():
-    tree = call("+", call("*", sym("a"), sym("b")), sym("c"))
+    tree = call("+", call("*", SymbolRef("a"), SymbolRef("b")), SymbolRef("c"))
     assert deparse(tree) == "a * b + c"
 
 
 def test_positional_eq_argument_is_parenthesized():
     # f((a = 1)) and f(a = 1) mean different things; an `=` call passed
     # positionally must keep its parens
-    tree = call("f", call("=", sym("a"), num(1)))
+    tree = call("f", call("=", SymbolRef("a"), NumLit.of(1)))
     text = deparse(tree)
     assert parse_expr(text) != parse_expr("f(a = 1)")
 
 
 def test_named_argument_roundtrip():
-    tree = Call(sym("f"), (Arg(num(1), name="a"),))
+    tree = Call(SymbolRef("f"), (Arg(NumLit.of(1), name="a"),))
     assert deparse(tree) == "f(a = 1)"
 
 
@@ -131,7 +131,7 @@ def test_dangling_else_is_not_captured():
     text = deparse(tree)
     assert strip_parens(parse_expr(text)) == strip_parens(tree)
     outer = call(
-        "if", sym("a"), call("if", sym("b"), num(1), num(2)), num(3),
+        "if", SymbolRef("a"), call("if", SymbolRef("b"), NumLit.of(1), NumLit.of(2)), NumLit.of(3),
     )
     text = deparse(outer)
     assert strip_parens(parse_expr(text)) == strip_parens(outer)

@@ -15,13 +15,12 @@ from codeweft.errors import (
 from codeweft.parser import MAX_NESTING, is_complete, parse_expr, parse_program
 from codeweft.rast import (
     Call,
+    NumLit,
     StringLit,
     SymbolRef,
     call,
     count_calls,
-    num,
     strip_parens,
-    sym,
     to_json,
     walk_calls,
 )
@@ -70,7 +69,7 @@ def test_pipe_is_an_ordinary_call():
 
 
 def test_operator_call_by_backtick_name():
-    assert parse_expr("`+`(1, 2)") == call("+", num(1), num(2))
+    assert parse_expr("`+`(1, 2)") == call("+", NumLit.of(1), NumLit.of(2))
 
 
 def test_structural_equality_ignores_spans_and_spelling():
@@ -86,7 +85,7 @@ def test_explicit_parens_are_nodes():
 
 def test_member_rhs_is_symbol_not_variable():
     tree = parse_expr("x$if")
-    assert tree == call("$", sym("x"), sym("if"))
+    assert tree == call("$", SymbolRef("x"), SymbolRef("if"))
 
 
 def test_string_member():
@@ -367,6 +366,6 @@ def test_nesting_far_past_the_cap_is_not_a_recursion_error():
     result = parse_program("x <- " + "(" * 1000 + "y" + ")" * 1000 + "\nz\n")
     assert [type(err) for err in result.errors] == [NestingTooDeep]
     assert isinstance(result.errors[0], RSyntaxError)
-    assert result.exprs[0][0] == sym("z")
+    assert result.exprs[0][0] == SymbolRef("z")
     with pytest.raises(NestingTooDeep):
         is_complete("f(" * 1000)

@@ -13,20 +13,19 @@ from codeweft.analyze import class_percentages, count_funcs, top_n_by_group
 from codeweft.corpus import CallRecord
 from codeweft.deparse import deparse
 from codeweft.errors import SourceError
-from codeweft.lexer import Token, Tokens, tokenize
-from codeweft.lexicon import ClassificationEntry, StopFuncList, classify, remove_stopfuncs
+from codeweft.lexer import Tokens, tokenize
+from codeweft.lexicon import ClassificationEntry, classify, remove_stopfuncs
 from codeweft.parser import parse_expr
 from codeweft.rast import (
     Arg,
     Call,
     LogicalLit,
     NullLit,
+    NumLit,
     StringLit,
     SymbolRef,
     count_calls,
-    num,
     strip_parens,
-    sym,
 )
 from codeweft.recorder import KIND_EXPRESSION, record
 from codeweft.unnest import unnest_corpus
@@ -49,9 +48,9 @@ def random_tree(rng, depth):
     if depth <= 0 or rng.random() < 0.3:
         pick = rng.random()
         if pick < 0.4:
-            return sym(rng.choice(_NAMES))
+            return SymbolRef(rng.choice(_NAMES))
         if pick < 0.6:
-            return num(rng.randint(0, 99), is_int=rng.random() < 0.3)
+            return NumLit.of(rng.randint(0, 99), is_int=rng.random() < 0.3)
         if pick < 0.75:
             return StringLit("".join(rng.choices(string.printable, k=rng.randint(0, 6))))
         if pick < 0.85:
@@ -61,17 +60,17 @@ def random_tree(rng, depth):
     if pick < 0.45:
         op = rng.choice(_OPS)
         left = random_tree(rng, depth - 1)
-        right = sym(rng.choice(_NAMES)) if op in _MEMBER else random_tree(rng, depth - 1)
-        return Call(sym(op), (Arg(left), Arg(right)))
+        right = SymbolRef(rng.choice(_NAMES)) if op in _MEMBER else random_tree(rng, depth - 1)
+        return Call(SymbolRef(op), (Arg(left), Arg(right)))
     if pick < 0.55:
-        return Call(sym(rng.choice(_UNARY)), (Arg(random_tree(rng, depth - 1)),))
+        return Call(SymbolRef(rng.choice(_UNARY)), (Arg(random_tree(rng, depth - 1)),))
     if pick < 0.65:
-        return Call(sym("("), (Arg(random_tree(rng, depth - 1)),))
+        return Call(SymbolRef("("), (Arg(random_tree(rng, depth - 1)),))
     if pick < 0.72:
         stmts = tuple(Arg(random_tree(rng, depth - 1)) for _ in range(rng.randint(0, 3)))
-        return Call(sym("{"), stmts)
+        return Call(SymbolRef("{"), stmts)
     if pick < 0.8:
-        callee = rng.choice([sym("["), sym("[[")])
+        callee = rng.choice([SymbolRef("["), SymbolRef("[[")])
         return Call(callee, (Arg(random_tree(rng, depth - 1)), Arg(random_tree(rng, depth - 1))))
     # plain call, possibly with named and missing arguments
     args = []
@@ -87,7 +86,7 @@ def random_tree(rng, depth):
         # f(<missing>) has no source spelling: f() means zero arguments
         # and f(,) means two missing ones
         args = []
-    return Call(sym(rng.choice(_CALLEES)), tuple(args))
+    return Call(SymbolRef(rng.choice(_CALLEES)), tuple(args))
 
 
 def test_roundtrip_on_ten_thousand_random_trees():
@@ -149,11 +148,10 @@ def test_joins_match_bruteforce_filters(seed):
     rng = random.Random(seed)
     tokens = _random_tokens(rng)
     names = sorted({t.func for t in tokens})
-    stop_names = frozenset(rng.sample(names, k=min(len(names), 5)))
-    stops = StopFuncList(stop_names)
+    stops = frozenset(rng.sample(names, k=min(len(names), 5)))
 
     kept = remove_stopfuncs(tokens, stops)
-    assert kept == [t for t in tokens if t.func not in stop_names]
+    assert kept == [t for t in tokens if t.func not in stops]
 
     lex_funcs = rng.sample(names, k=min(len(names), 8))
     entries = [
@@ -250,9 +248,9 @@ def test_tokenize_returns_tokens_or_raises_source_error(text):
     except SourceError:
         return
     assert isinstance(tokens, Tokens)
-    items = list(tokens)
-    assert len(items) == len(tokens)
-    assert all(type(tok) is Token for tok in items)
+    columns = [tokens.kinds, tokens.texts, tokens.values, tokens.lines, tokens.cols,
+               tokens.end_lines, tokens.end_cols]
+    assert all(len(column) == len(tokens) for column in columns)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -263,12 +261,12 @@ def test_token_spans_slice_back_to_the_source(text):
     except SourceError:
         return
     line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
-    for tok in tokens:
-        span = tok.span
+    for i, (kind, tok_text) in enumerate(zip(tokens.kinds, tokens.texts)):
+        span = tokens.span(i, i)
         start = line_starts[span.start_line - 1] + span.start_col - 1
         end = line_starts[span.end_line - 1] + span.end_col  # the end is inclusive
-        assert text[start:end] == (f"`{tok.text}`" if tok.quoted else tok.text), tok
-        if tok.kind == "newline":
-            assert (span.end_line, span.end_col) == (span.start_line + 1, 0), tok
-        elif tok.kind != "string":  # only a string can cross a line break
-            assert span.end_line == span.start_line, tok
+        assert text[start:end] == (f"`{tok_text}`" if tokens.quoted(i) else tok_text), i
+        if kind == "newline":
+            assert (span.end_line, span.end_col) == (span.start_line + 1, 0), i
+        elif kind != "string":  # only a string can cross a line break
+            assert span.end_line == span.start_line, i

@@ -1,4 +1,4 @@
-"""The contract of the per-token, per-node and per-row types.
+"""The contract of the span, tree-node and row types.
 
 They are frozen slotted dataclasses: immutable, without a per-instance
 `__dict__`, compared and hashed by value with spans left out.
@@ -12,7 +12,6 @@ import pickle
 import pytest
 
 from codeweft.corpus import CallRecord
-from codeweft.lexer import tokenize
 from codeweft.parser import parse_expr
 from codeweft.rast import (
     Arg,
@@ -29,7 +28,6 @@ from codeweft.unnest import FuncToken, unnest_calls
 SPAN = SrcSpan(1, 1, 1, 3)
 
 INSTANCES = [
-    tokenize("x")[0],
     SPAN,
     NullLit(SPAN),
     LogicalLit(True, SPAN),

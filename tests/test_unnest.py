@@ -1,6 +1,6 @@
 from codeweft.corpus import CallRecord, read_rfiles, recital
 from codeweft.parser import parse_expr
-from codeweft.rast import call, count_calls, sym
+from codeweft.rast import SymbolRef, call, count_calls
 from codeweft.unnest import func_name, unnest_calls, unnest_corpus
 
 
@@ -83,7 +83,7 @@ def test_example_scripts_token_table(example_scripts):
 def test_ten_thousand_stage_pipe_unnests():
     # the walk keeps its own stack: a chain far deeper than the recursion
     # limit unnests and counts
-    tree = sym("x")
+    tree = SymbolRef("x")
     for _ in range(10_000):
         tree = call("%>%", tree, call("f"))
     tokens = unnest_corpus([CallRecord("deep.R", tree, 1)])

@@ -203,6 +203,15 @@ def _tree(expr) -> list:
     return out
 
 
+def _tokens(tokens) -> list:
+    """(kind, text, span, value, quoted) per token of a `Tokens`, or of the list
+    of `Token`s that `tokenize` returned before 81134ab."""
+    if isinstance(tokens, list):
+        return [(t.kind, t.text, _span(t.span), repr(t.value), t.quoted) for t in tokens]
+    return [(kind, text, _span(tokens.span(i, i)), repr(value), tokens.quoted(i))
+            for i, (kind, text, value) in enumerate(zip(tokens.kinds, tokens.texts, tokens.values))]
+
+
 def dump_one(text: str) -> dict:
     from codeweft.lexer import tokenize
     from codeweft.parser import is_complete, parse_program
@@ -210,8 +219,7 @@ def dump_one(text: str) -> dict:
     out: dict = {}
     for name, keep in (("tokens", False), ("tokens_nl", True)):
         try:
-            out[name] = [(t.kind, t.text, _span(t.span), repr(t.value), t.quoted)
-                         for t in tokenize(text, keep_newlines=keep)]
+            out[name] = _tokens(tokenize(text, keep_newlines=keep))
         except Exception as err:  # the other version may raise anything
             out[name] = _error(err)
     try:
