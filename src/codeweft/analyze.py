@@ -22,18 +22,19 @@ def count_funcs(
 ) -> list[dict]:
     """One output row per distinct key tuple with its row count `n`.
 
-    With sort=True, rows are ordered by n descending, ties by key tuple
-    ascending, each key compared as (type name, value) so that JSON values
-    of mixed types order; otherwise by first appearance.
+    Keys group by (type, value), so JSON `1`, `true` and `1.0` differ. With
+    sort=True, rows are ordered by n descending, ties by key tuple ascending,
+    each key compared as (type name, value); otherwise by first appearance.
     """
     if not keys or len(set(keys)) != len(keys):
         raise UnknownColumn("grouping keys must be non-empty and unique")
     _check_columns(rows, keys)
     counts: dict[tuple, int] = {}
     for row in rows:
-        key = tuple(row[k] for k in keys)
+        values = tuple(row[k] for k in keys)
+        key = (values, tuple(map(type, values)))
         counts[key] = counts.get(key, 0) + 1
-    items = list(counts.items())
+    items = [(values, n) for (values, _), n in counts.items()]
     if sort:
         items.sort(key=lambda kv: (-kv[1], [(type(v).__name__, v) for v in kv[0]]))
     return [dict(zip(keys, key)) | {"n": n} for key, n in items]

@@ -6,7 +6,8 @@ swallowed, inside `{` blocks they separate statements, mirroring the R
 grammar's newline handling.
 
 The scan is one pass over a single compiled alternation, dispatched on
-the name of the alternative that matched.
+the name of the alternative that matched; `scan` carries it on over text
+that has grown.
 """
 
 from __future__ import annotations
@@ -89,10 +90,12 @@ class Tokens:
     `values[i]`; it runs from line `lines[i]`, column `cols[i]` to line
     `end_lines[i]`, column `end_cols[i]`, the bounds of its span. `len()`
     is the token count; the parser reads the lists and builds a span only
-    for what it keeps.
+    for what it keeps. `stack`, `line` and `line_start` hold the scan state
+    where the last `scan` stopped, so a later one can carry on from there.
     """
 
-    __slots__ = ("kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols")
+    __slots__ = ("kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols",
+                 "stack", "line", "line_start")
 
     def __init__(self):
         self.kinds: list[str] = []
@@ -103,6 +106,8 @@ class Tokens:
         self.cols: list[int] = []
         self.end_lines: list[int] = []
         self.end_cols: list[int] = []
+        self.stack: list[bool] = []  # open delimiters, True where newlines are significant
+        self.line, self.line_start = 1, 0  # current line number and the offset it starts at
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -137,10 +142,16 @@ def tokenize(text: str, keep_newlines: bool = False) -> Tokens:
     the lexical content leave it off.
     """
     tokens = Tokens()
+    scan(tokens, text, 0, keep_newlines)
+    return tokens
+
+
+def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
+    """Append the tokens of text[pos:] to `tokens`, carrying on from the scan
+    state the last scan left; text[:pos] is what that scan read."""
     kinds, texts, values = tokens.kinds, tokens.texts, tokens.values
     lines, cols, end_lines, end_cols = tokens.lines, tokens.cols, tokens.end_lines, tokens.end_cols
-    stack: list[bool] = []
-    line, line_start = 1, 0  # current line number and the offset it starts at
+    stack, line, line_start = tokens.stack, tokens.line, tokens.line_start
 
     def span(start: int, end: int) -> SrcSpan:
         """1-based inclusive span of text[start:end], which starts on `line`.
@@ -171,7 +182,7 @@ def tokenize(text: str, keep_newlines: bool = False) -> Tokens:
             message = f"{'invalid' if code[0] in 'xuU' else 'unknown'} escape \\{code}"
         raise InvalidCharacter(message, span(m.start(), m.start("body") + esc.end()))
 
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, pos):
         kind = m.lastgroup
         if kind == "skip":
             continue
@@ -217,4 +228,4 @@ def tokenize(text: str, keep_newlines: bool = False) -> Tokens:
         # a token ending in a line break ends at column 0 of the next line
         end_lines.append(line)
         end_cols.append(end - line_start)
-    return tokens
+    tokens.line, tokens.line_start = line, line_start

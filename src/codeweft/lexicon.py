@@ -173,9 +173,11 @@ def classify(
     k rows. Token order is preserved; a token's matches are ordered by
     lexicon name, then descending score.
     """
+    used = {t.func for t in tokens}
     by_func: dict[str, list[ClassificationEntry]] = {}
     for e in entries:
-        by_func.setdefault(e.func, []).append(e)
+        if e.func in used:
+            by_func.setdefault(e.func, []).append(e)
     for matches in by_func.values():
         matches.sort(key=lambda e: (e.lexicon, -e.score, e.classification))
     out: list[tuple[FuncToken, ClassificationEntry]] = []

@@ -108,6 +108,8 @@ class ProgramResult:
     exprs: list[tuple[Expr, SrcSpan]] = field(default_factory=list)
     errors: list[SourceError] = field(default_factory=list)
     incomplete: bool = False
+    # an incomplete parse stopped at the end of its text, for resume_program
+    _parser: "_Parser | None" = field(default=None, repr=False, compare=False)
 
 
 class _Parser:
@@ -117,9 +119,13 @@ class _Parser:
     node or an error. `node` is the one owner of the span rule: a node runs
     from its first token to the last one consumed, `self.pos - 1` once it
     is parsed.
+
+    `lists` holds an entry per open block or argument list: the first tokens
+    of its previous and current items, its closer, `brace_depth` and `depth`.
     """
 
-    __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth")
+    __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth",
+                 "lists")
 
     def __init__(self, tokens: Tokens, text: str):
         self.text = text
@@ -132,6 +138,7 @@ class _Parser:
         self.pos = 0
         self.brace_depth = 0
         self.depth = 0  # parse_expr calls open
+        self.lists: list[list] = []
 
     # --- token plumbing -------------------------------------------------
 
@@ -250,15 +257,18 @@ class _Parser:
 
     def parse_block(self) -> list[Arg]:
         """The statements after a `{`, through its `}`."""
+        self.lists.append(entry := [self.pos, self.pos, "}", self.brace_depth, self.depth])
         self.brace_depth += 1
         stmts: list[Arg] = []
         while True:
             self.skip_separators()
+            entry[0], entry[1] = entry[1], self.pos
             if self.at(OP, "}"):
                 break
             stmts.append(Arg(self.parse_expr(0)))
             if not (self.at(NEWLINE) or self.at(SEMI) or self.at(OP, "}")):
                 self.fail("'}', newline or ';'")
+        self.lists.pop()
         self.advance()
         self.brace_depth -= 1
         return stmts
@@ -294,12 +304,15 @@ class _Parser:
         args: list[Arg] = []
         if self.at(OP, closer):
             return args
+        self.lists.append(entry := [self.pos, self.pos, closer, self.brace_depth, self.depth])
         while True:
+            entry[0], entry[1] = entry[1], self.pos
             if self.at(OP, ",") or self.at(OP, closer):
                 args.append(Arg(SymbolRef("")))
             else:
                 args.append(self.parse_one_arg())
             if not self.at(OP, ","):
+                self.lists.pop()
                 return args
             self.advance()
 
@@ -384,7 +397,7 @@ class _Parser:
     # --- program level --------------------------------------------------
 
     def parse_top_level(self) -> tuple[Expr, SrcSpan]:
-        self.depth = 0  # an error may have left parse_expr calls unclosed
+        self.depth, self.lists = 0, []  # an error may have left parse_expr calls and lists open
         expr = self.parse_expr(0)
         if not (self.at(NEWLINE) or self.at(SEMI) or self.at(EOF)):
             self.fail("newline, ';' or end of input")
@@ -419,6 +432,11 @@ def parse_program(text: str) -> ProgramResult:
             isinstance(err, UnterminatedBacktick) and err.span.end_line > text.count("\n")
         )
         return result
+    return _parse_tokens(tokens, text)
+
+
+def _parse_tokens(tokens: Tokens, text: str) -> ProgramResult:
+    result = ProgramResult()
     parser = _Parser(tokens, text)
     while True:
         parser.skip_separators()
@@ -429,8 +447,45 @@ def parse_program(text: str) -> ProgramResult:
         except SourceError as err:
             result.errors.append(err.with_traceback(None))
             parser.resync()
-    result.incomplete = bool(result.errors) and isinstance(result.errors[0], IncompleteInput)
+    if result.errors and isinstance(result.errors[0], IncompleteInput):
+        # the one error, at the end of the text: the lists open there stay open
+        result.incomplete, result._parser = True, parser
     return result
+
+
+def resume_program(result: ProgramResult, text: str) -> ProgramResult:
+    """`parse_program(text)`, for a text that extends the text of the
+    incomplete `result` by whole lines; `result` cannot be resumed again,
+    and a result that cannot be resumed gives a full parse.
+
+    Only the new lines are lexed, and only the innermost open list is parsed
+    again, from the item before the current one (a new line can still join
+    it: an `else`); once it closes, the next one out; once none is left, all.
+    """
+    parser, result._parser = result._parser, None
+    if parser is None or not (text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
+        return parse_program(text)
+    tokens = parser.tokens
+    n = len(tokens)
+    try:
+        lexer.scan(tokens, text, len(parser.text), keep_newlines=True)
+    except SourceError:
+        return parse_program(text)
+    parser.kinds[n:] = [*tokens.kinds[n:], EOF]
+    parser.texts[n:] = [*tokens.texts[n:], ""]
+    parser.text = text
+    while parser.lists:
+        parser.pos, _, closer, parser.brace_depth, parser.depth = parser.lists.pop()
+        try:
+            if closer == "}":
+                parser.parse_block()
+            else:
+                parser.parse_args(closer)
+        except IncompleteInput as err:
+            return ProgramResult(list(result.exprs), [err.with_traceback(None)], True, parser)
+        except SourceError:
+            break
+    return _parse_tokens(tokens, text)
 
 
 def parse_expr(text: str) -> Expr:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from .deparse import deparse
 from .errors import MissingLog, SchemaError
-from .parser import parse_program
+from .parser import ProgramResult, parse_program, resume_program
 from .rast import SrcSpan
 
 ENV_LOG_PATH = "CODEWEFT_LOG_PATH"
@@ -126,13 +126,14 @@ def record(
         emit(SessionEvent(KIND_START, stamp(), meta=_boundary_meta(capture_values)))
 
         pending: list[str] = []
+        program = ProgramResult()
         for line in lines:
             pending.append(line.rstrip("\n"))
             chunk = "\n".join(pending)
             if not chunk.strip():
                 pending.clear()
                 continue
-            program = parse_program(chunk)
+            program = resume_program(program, chunk)  # a full parse unless it was incomplete
             if program.incomplete:
                 continue
             if program.errors:

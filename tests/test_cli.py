@@ -478,6 +478,18 @@ def test_sorted_counts_order_mixed_json_key_types(tmp_path, table, expected):
     assert proc.stdout == "func,n\n" + expected
 
 
+def test_counts_keep_json_keys_of_different_types_apart(capsys, tmp_path):
+    # 1, true and 1.0 are equal in Python; as JSON values they are three keys
+    path = tmp_path / "table.jsonl"
+    path.write_text('{"func": 1}\n{"func": true}\n{"func": 1.0}\n')
+    code, out, _ = run(capsys, "stats", "counts", "--input", str(path), "--format", "jsonl")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"func": 1, "n": 1}, {"func": True, "n": 1}, {"func": 1.0, "n": 1},
+    ]
+    assert [type(json.loads(line)["func"]) for line in out.splitlines()] == [int, bool, float]
+
+
 def test_stats_reads_a_table_with_a_long_field(tmp_path):
     # a string literal longer than the csv module's default field limit (131072)
     big = tmp_path / "big.R"

@@ -12,7 +12,7 @@ from codeweft.errors import (
     RSyntaxError,
     UnterminatedBacktick,
 )
-from codeweft.parser import MAX_NESTING, is_complete, parse_expr, parse_program
+from codeweft.parser import MAX_NESTING, is_complete, parse_expr, parse_program, resume_program
 from codeweft.rast import (
     Call,
     NumLit,
@@ -369,3 +369,19 @@ def test_nesting_far_past_the_cap_is_not_a_recursion_error():
     assert result.exprs[0][0] == SymbolRef("z")
     with pytest.raises(NestingTooDeep):
         is_complete("f(" * 1000)
+
+
+@pytest.mark.parametrize("n", [MAX_NESTING, MAX_NESTING + 1])
+@pytest.mark.parametrize("opener, closer", [("{", "}"), ("f(", ")"), ("x[", "]")])
+def test_resumed_parse_keeps_the_nesting_cap(opener, closer, n):
+    # a bracket a line: each line resumes the parse inside the innermost list
+    lines = [opener] * n + ["x"] + [closer] * n
+    result = None
+    for i in range(1, len(lines) + 1):
+        text = "\n".join(lines[:i])
+        result = resume_program(result, text) if result and result.incomplete else parse_program(text)
+        full = parse_program(text)
+        assert (result.incomplete, [str(e) for e in result.errors]) == (
+            full.incomplete, [str(e) for e in full.errors]
+        ), i
+    assert [type(e) for e in result.errors[:1]] == ([] if n == MAX_NESTING else [NestingTooDeep])

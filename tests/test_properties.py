@@ -15,7 +15,7 @@ from codeweft.deparse import deparse
 from codeweft.errors import SourceError
 from codeweft.lexer import Tokens, tokenize
 from codeweft.lexicon import ClassificationEntry, classify, remove_stopfuncs
-from codeweft.parser import parse_expr
+from codeweft.parser import parse_expr, parse_program, resume_program
 from codeweft.rast import (
     Arg,
     Call,
@@ -27,7 +27,7 @@ from codeweft.rast import (
     count_calls,
     strip_parens,
 )
-from codeweft.recorder import KIND_EXPRESSION, record
+from codeweft.recorder import KIND_EXPRESSION, _expression_texts, record
 from codeweft.unnest import unnest_corpus
 
 # --- random tree generation ---------------------------------------------
@@ -123,6 +123,68 @@ def test_record_logs_each_deparsed_program_once(seed):
     assert [e.meta["parsed"] for e in exprs] == [True] * len(trees)
     for event, tree in zip(exprs, trees):
         assert strip_parens(parse_expr(event.expr_text)) == strip_parens(tree), event.expr_text
+
+
+# lines that open or close a bracket, continue an if, break off a string or
+# fail at once, inserted among the lines of deparsed programs
+_SESSION_NOISE = [
+    "", "  ", "# note", "else c", "if (a) b", "f(a b", "g(", "1,", "k = 2)", ")", "]", "]]", "}",
+    "{", "x[1,", "y[[", "h <- function(x) {", "function(a,", "x <-", "%>% f()", "'open", "close'",
+    "a b", ",", "c)", "}}", "while (x) {", "else {", "`tick",
+]
+
+
+def _session_lines(rng):
+    text = "\n".join(deparse(random_tree(rng, rng.randint(1, 5))) for _ in range(rng.randint(1, 4)))
+    lines = text.split("\n")
+    for _ in range(rng.randint(0, 5)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(_SESSION_NOISE))
+    return lines
+
+
+def _outcome(result):
+    errors = [(type(err), str(err), err.span) for err in result.errors]
+    return result.incomplete, errors, result.exprs
+
+
+def _reference_events(lines):
+    """What `record` logs, from a full parse of the pending text on every line."""
+    events, pending = [], []
+    for line in lines:
+        pending.append(line)
+        chunk = "\n".join(pending)
+        if not chunk.strip():
+            pending.clear()
+            continue
+        program = parse_program(chunk)
+        if program.incomplete:
+            continue
+        if program.errors:
+            events.append((chunk, False))
+        else:
+            events += [(text, True) for text in _expression_texts(pending, [s for _, s in program.exprs])]
+        pending.clear()
+    if "\n".join(pending).strip():
+        events.append(("\n".join(pending), False))
+    return events
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_resumed_parse_matches_a_full_parse_at_every_line(seed):
+    rng = random.Random(seed)
+    lines = _session_lines(rng)
+    result = None
+    for i in range(1, len(lines) + 1):
+        prefix = "\n".join(lines[:i])
+        full = parse_program(prefix)
+        result = resume_program(result, prefix) if result and result.incomplete else parse_program(prefix)
+        assert _outcome(result) == _outcome(full), prefix
+        if not full.incomplete:
+            with tempfile.TemporaryDirectory() as tmp:
+                events = record(lines[:i], log_path=Path(tmp) / "session.jsonl")
+            logged = [(e.expr_text, e.meta["parsed"]) for e in events if e.kind == KIND_EXPRESSION]
+            assert logged == _reference_events(lines[:i]), prefix
 
 
 @settings(max_examples=300, deadline=None)

@@ -158,3 +158,57 @@ def test_expression_alone_on_its_line_keeps_its_comment(clock, log):
     events = record(["x <- 1  # note", "y <- 2; z"], clock=clock, log_path=log)
     texts = [e.expr_text for e in events if e.kind == KIND_EXPRESSION]
     assert texts == ["x <- 1  # note", "y <- 2", "z"]
+
+
+def _expressions(events):
+    return [(e.expr_text, e.meta["parsed"]) for e in events if e.kind == KIND_EXPRESSION]
+
+
+def test_hard_error_inside_an_open_bracket_is_logged_at_its_line(clock, log):
+    # R reports `f(a b` as soon as the line is entered, before any `)` arrives
+    events = record(["f(a b", "c)"], clock=clock, log_path=log)
+    assert _expressions(events) == [("f(a b", False), ("c)", False)]
+
+
+def test_else_after_a_blank_line_joins_the_if_of_its_block(clock, log):
+    lines = ["g <- function() {", "if (a) b", "", "else c", "}"]
+    events = record(lines, clock=clock, log_path=log)
+    assert _expressions(events) == [("\n".join(lines), True)]
+
+
+def test_string_open_across_lines_is_one_event(clock, log):
+    events = record(['x <- "a', "b", 'c"'], clock=clock, log_path=log)
+    assert _expressions(events) == [('x <- "a\nb\nc"', True)]
+
+
+class _CountingScans:
+    """Stands in for the lexer's compiled pattern and sums the text it scans."""
+
+    def __init__(self, pattern):
+        self.pattern, self.scanned = pattern, 0
+
+    def finditer(self, text, pos=0):
+        self.scanned += len(text) - pos
+        return self.pattern.finditer(text, pos)
+
+
+def test_recording_a_long_function_reads_each_line_a_bounded_number_of_times(
+    clock, log, monkeypatch
+):
+    from codeweft import lexer, parser, recorder
+
+    scans = _CountingScans(lexer._TOKEN_RE)
+    monkeypatch.setattr(lexer, "_TOKEN_RE", scans)
+    received = []
+    for module in (parser, recorder):
+        original = module.parse_program
+        monkeypatch.setattr(
+            module, "parse_program", lambda text, original=original: received.append(len(text)) or original(text)
+        )
+    body = ["  x <- f(a, b = 1)", "  if (x > 1) {", "    y <- g(x)", "  }", "  z <- c(1, 2,", "    3)"]
+    lines = ["f <- function(a, b) {", *(body * 66), "  w <- z", "  w", "}"]
+    assert len(lines) == 400
+    events = record(lines, clock=clock, log_path=log)
+    assert _expressions(events) == [("\n".join(lines), True)]
+    # a recorder that parses the whole pending text on every line reads it about 200 times
+    assert scans.scanned + sum(received) <= 3 * len("\n".join(lines))

@@ -12,14 +12,20 @@ each input the dump records
     span, value and `quoted` of every token, or the error raised;
   - `parse_program(text)`: every tree with the span of every node, the
     errors (type, message, span) and the `incomplete` flag;
-  - `is_complete(text)`: True, False, or the error raised.
+  - `is_complete(text)`: True, False, or the error raised;
+  - for an input of more than one line, `recorder.record` over its lines
+    (a fixed clock, a log in a temporary directory): the kind, text and
+    `parsed` flag of every event.
 
-Inputs are the parser goldens, the bundled examples, each nesting form at
-depths around and far past the parser's nesting cap, long operator
-chains, and N seeded random programs and mutations of goldens, examples
-and random programs. Differences are counted by input family and by the
-first section that differs, and the first SHOW are printed. The exit status
-is 1 on any difference. Standard library and git only.
+Inputs are the parser goldens, one file of all of them, the bundled
+examples, each nesting form at depths around and far past the parser's
+nesting cap, long operator chains, and N seeded random programs and
+mutations of goldens, examples and random programs. Then come programs
+whose blocks and argument lists stay open across lines, cut after every
+line, and such programs with a hard error on a line inside an open `(`,
+`[` or `{`. Differences are counted by input family and by the first
+section that differs, and the first SHOW are printed. The exit status is 1
+on any difference. Standard library and git only.
 """
 
 from __future__ import annotations
@@ -37,10 +43,11 @@ import sys
 import tarfile
 import tempfile
 from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECTIONS = ["tokens", "tokens_nl", "program", "is_complete"]
+SECTIONS = ["tokens", "tokens_nl", "program", "is_complete", "record"]
 SHOW = 5  # differences printed in full
 
 # --- inputs ---------------------------------------------------------------
@@ -64,6 +71,11 @@ _ARG_NAMES = _NAMES + ['"a"', "'b'", "``", '""']
 _MEMBER = ["$", "@", "::", ":::"]
 _UNARY = ["-", "+", "!", "~", "?"]
 _SEPARATORS = ["\n", "; ", "\n\n", " # note\n", "\r\n"]
+# (opener, item separator, closer) of a list spread over lines
+_WRAPS = [("{", "\n", "}"), ("f <- function(a) {", "\n", "}"), ("if (a) {", "\n", "} else {\n  b\n}"),
+          ("g(", ",\n", ")"), ("x[", ",\n", "]"), ("y[[", ",\n", "]]"), ("list(k = ", ",\n", ")")]
+# lines no further input can repair
+_HARD = ["x y", "1 2", ")", "]", "}", "else", "in", "= =", "f(a b", ",,", "if x", "function(1)"]
 _NOISE = ["(", ")", "[", "]", "[[", "]]", "{", "}", ",", ";", "\n", "=", '"', "'", "`", "%", "#", "\\",
           "else", "function", "if (", "->", "٣", "²", "\x01", "\\0", "\\x", " ", "\t", "$", "::", "@"]
 
@@ -133,6 +145,25 @@ def random_program(rng: random.Random) -> str:
     return rng.choice(_SEPARATORS).join(exprs) + rng.choice(["", "\n"])
 
 
+def open_program(rng: random.Random) -> str:
+    """Blocks and argument lists nested up to three deep, one item a line."""
+    def build(depth: int) -> str:
+        items = [build(depth - 1) if depth and rng.random() < 0.5 else random_expr(rng, rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 3))]
+        opener, separator, closer = rng.choice(_WRAPS)
+        return f"{opener}\n{separator.join(items)}\n{closer}"
+
+    return "\n".join(build(rng.randint(0, 2)) for _ in range(rng.randint(1, 2)))
+
+
+def inject(rng: random.Random, text: str) -> str:
+    """`text` with a hard error on a new line after one that leaves a bracket open."""
+    lines = text.split("\n")
+    open_at = [i for i, line in enumerate(lines) if line.endswith(("{", "(", "[", ","))] or [0]
+    at = rng.choice(open_at) + 1
+    return "\n".join(lines[:at] + [rng.choice(_HARD)] + lines[at:])
+
+
 def mutate(rng: random.Random, text: str) -> str:
     for _ in range(rng.randint(1, 4)):
         at = rng.randint(0, len(text))
@@ -157,6 +188,7 @@ def build_inputs(count: int, seed: int) -> list[tuple[str, str]]:
     examples = sorted((ROOT / "src" / "codeweft" / "data" / "examples").glob("*.R"))
     inputs = [("golden", g["src"]) for g in goldens]
     inputs += [("example", p.read_text(encoding="utf-8")) for p in examples]
+    inputs.append(("goldens-file", "\n".join(g["src"] for g in goldens)))
     nested = runpy.run_path(str(ROOT / "tests" / "nesting_forms.py"))["NESTED"]
     inputs += [(f"deep-{form}", make(n)) for form, make in nested.items() for n in NESTED_DEPTHS]
     inputs += [(form, make(n)) for form, make in CHAINS.items() for n in CHAIN_LENGTHS]
@@ -171,10 +203,17 @@ def build_inputs(count: int, seed: int) -> list[tuple[str, str]]:
                 at = rng.randint(0, len(base) - 400)
                 base = base[at:at + 400]
             inputs.append(("mutated", mutate(rng, base)))
+    for _ in range(count // 50):
+        lines = open_program(rng).split("\n")
+        inputs += [("open-cut", "\n".join(lines[:i])) for i in range(1, len(lines) + 1)]
+    inputs += [("open-hard-error", inject(rng, open_program(rng))) for _ in range(count // 10)]
     return inputs
 
 
 # --- the dump, run once per version ---------------------------------------
+
+
+_CLOCK = datetime(2024, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
 
 
 def _span(span) -> object:
@@ -212,9 +251,10 @@ def _tokens(tokens) -> list:
             for i, (kind, text, value) in enumerate(zip(tokens.kinds, tokens.texts, tokens.values))]
 
 
-def dump_one(text: str) -> dict:
+def dump_one(text: str, log: Path) -> dict:
     from codeweft.lexer import tokenize
     from codeweft.parser import is_complete, parse_program
+    from codeweft.recorder import record
 
     out: dict = {}
     for name, keep in (("tokens", False), ("tokens_nl", True)):
@@ -235,17 +275,27 @@ def dump_one(text: str) -> dict:
         out["is_complete"] = is_complete(text)
     except Exception as err:
         out["is_complete"] = _error(err)
+    if "\n" in text:
+        try:
+            events = record(text.split("\n"), clock=lambda: _CLOCK, log_path=log)
+            out["record"] = [(e.kind, e.expr_text, e.meta.get("parsed")) for e in events]
+        except Exception as err:
+            out["record"] = _error(err)
+        log.unlink(missing_ok=True)
+    else:
+        out["record"] = None
     return out
 
 
 def run_dump(inputs_path: str, out_path: str, only: str) -> None:
     texts = json.loads(Path(inputs_path).read_text(encoding="utf-8"))
     wanted = {int(i) for i in only.split(",")} if only else None
-    with open(out_path, "w", encoding="utf-8") as out:
+    with open(out_path, "w", encoding="utf-8") as out, tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "session.jsonl"
         for i, text in enumerate(texts):
             if wanted is not None and i not in wanted:
                 continue
-            sections = {k: json.dumps(v, sort_keys=True) for k, v in dump_one(text).items()}
+            sections = {k: json.dumps(v, sort_keys=True) for k, v in dump_one(text, log).items()}
             if wanted is None:  # digests keep the dump small; --only dumps in full
                 sections = {k: hashlib.sha1(v.encode()).hexdigest() for k, v in sections.items()}
             out.write(json.dumps({"i": i, "sections": sections}) + "\n")
