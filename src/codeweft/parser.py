@@ -463,7 +463,7 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     it: an `else`); once it closes, the next one out; once none is left, all.
     """
     parser, result._parser = result._parser, None
-    if parser is None or not (text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
+    if not (parser and text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
         return parse_program(text)
     tokens = parser.tokens
     n = len(tokens)

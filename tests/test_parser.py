@@ -379,7 +379,8 @@ def test_resumed_parse_keeps_the_nesting_cap(opener, closer, n):
     result = None
     for i in range(1, len(lines) + 1):
         text = "\n".join(lines[:i])
-        result = resume_program(result, text) if result and result.incomplete else parse_program(text)
+        resumable = result and result.incomplete
+        result = resume_program(result, text) if resumable else parse_program(text)
         full = parse_program(text)
         assert (result.incomplete, [str(e) for e in result.errors]) == (
             full.incomplete, [str(e) for e in full.errors]

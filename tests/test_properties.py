@@ -162,7 +162,8 @@ def _reference_events(lines):
         if program.errors:
             events.append((chunk, False))
         else:
-            events += [(text, True) for text in _expression_texts(pending, [s for _, s in program.exprs])]
+            spans = [span for _, span in program.exprs]
+            events += [(text, True) for text in _expression_texts(pending, spans)]
         pending.clear()
     if "\n".join(pending).strip():
         events.append(("\n".join(pending), False))
@@ -178,7 +179,8 @@ def test_resumed_parse_matches_a_full_parse_at_every_line(seed):
     for i in range(1, len(lines) + 1):
         prefix = "\n".join(lines[:i])
         full = parse_program(prefix)
-        result = resume_program(result, prefix) if result and result.incomplete else parse_program(prefix)
+        resumable = result and result.incomplete
+        result = resume_program(result, prefix) if resumable else parse_program(prefix)
         assert _outcome(result) == _outcome(full), prefix
         if not full.incomplete:
             with tempfile.TemporaryDirectory() as tmp:

@@ -200,11 +200,16 @@ def test_recording_a_long_function_reads_each_line_a_bounded_number_of_times(
     scans = _CountingScans(lexer._TOKEN_RE)
     monkeypatch.setattr(lexer, "_TOKEN_RE", scans)
     received = []
+
+    def counting(original):
+        def parse_program(text):
+            received.append(len(text))
+            return original(text)
+
+        return parse_program
+
     for module in (parser, recorder):
-        original = module.parse_program
-        monkeypatch.setattr(
-            module, "parse_program", lambda text, original=original: received.append(len(text)) or original(text)
-        )
+        monkeypatch.setattr(module, "parse_program", counting(module.parse_program))
     body = ["  x <- f(a, b = 1)", "  if (x > 1) {", "    y <- g(x)", "  }", "  z <- c(1, 2,", "    3)"]
     lines = ["f <- function(a, b) {", *(body * 66), "  w <- z", "  w", "}"]
     assert len(lines) == 400

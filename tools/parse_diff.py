@@ -74,6 +74,8 @@ _SEPARATORS = ["\n", "; ", "\n\n", " # note\n", "\r\n"]
 # (opener, item separator, closer) of a list spread over lines
 _WRAPS = [("{", "\n", "}"), ("f <- function(a) {", "\n", "}"), ("if (a) {", "\n", "} else {\n  b\n}"),
           ("g(", ",\n", ")"), ("x[", ",\n", "]"), ("y[[", ",\n", "]]"), ("list(k = ", ",\n", ")")]
+# what may stand between two lines of a block, or between an if and its else
+_GAPS = ["\n", "\n\n", "\n  # note\n"]
 # lines no further input can repair
 _HARD = ["x y", "1 2", ")", "]", "}", "else", "in", "= =", "f(a b", ",,", "if x", "function(1)"]
 _NOISE = ["(", ")", "[", "]", "[[", "]]", "{", "}", ",", ";", "\n", "=", '"', "'", "`", "%", "#", "\\",
@@ -147,11 +149,19 @@ def random_program(rng: random.Random) -> str:
 
 def open_program(rng: random.Random) -> str:
     """Blocks and argument lists nested up to three deep, one item a line."""
+    def item(depth: int) -> str:
+        if depth and rng.random() < 0.5:
+            return build(depth - 1)
+        if rng.random() < 0.2:
+            return f"if (a) {random_expr(rng, 1)}{rng.choice(_GAPS)}else {random_expr(rng, 1)}"
+        return random_expr(rng, rng.randint(1, 3))
+
     def build(depth: int) -> str:
-        items = [build(depth - 1) if depth and rng.random() < 0.5 else random_expr(rng, rng.randint(1, 3))
-                 for _ in range(rng.randint(1, 3))]
         opener, separator, closer = rng.choice(_WRAPS)
-        return f"{opener}\n{separator.join(items)}\n{closer}"
+        text = item(depth)
+        for _ in range(rng.randint(0, 2)):
+            text += (rng.choice(_GAPS) if separator == "\n" else separator) + item(depth)
+        return f"{opener}\n{text}\n{closer}"
 
     return "\n".join(build(rng.randint(0, 2)) for _ in range(rng.randint(1, 2)))
 
