@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import EmptyInput, SchemaError, UnknownColumn
@@ -29,9 +30,10 @@ def count_funcs(
     if not keys or len(set(keys)) != len(keys):
         raise UnknownColumn("grouping keys must be non-empty and unique")
     _check_columns(rows, keys)
+    get = itemgetter(*keys) if len(keys) > 1 else lambda row: (row[keys[0]],)
     counts: dict[tuple, int] = {}
     for row in rows:
-        values = tuple(row[k] for k in keys)
+        values = get(row)
         key = (values, tuple(map(type, values)))
         counts[key] = counts.get(key, 0) + 1
     items = [(values, n) for (values, _), n in counts.items()]

@@ -6,8 +6,7 @@ swallowed, inside `{` blocks they separate statements, mirroring the R
 grammar's newline handling.
 
 The scan is one pass over a single compiled alternation, dispatched on
-the name of the alternative that matched; `scan` carries it on over text
-that has grown.
+the name of the alternative that matched.
 """
 
 from __future__ import annotations

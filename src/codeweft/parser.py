@@ -119,9 +119,6 @@ class _Parser:
     node or an error. `node` is the one owner of the span rule: a node runs
     from its first token to the last one consumed, `self.pos - 1` once it
     is parsed.
-
-    `lists` holds an entry per open block or argument list: the first tokens
-    of its previous and current items, its closer, `brace_depth` and `depth`.
     """
 
     __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth",
@@ -138,6 +135,8 @@ class _Parser:
         self.pos = 0
         self.brace_depth = 0
         self.depth = 0  # parse_expr calls open
+        # per open block or argument list: the first tokens of its previous and
+        # current items, its closer, and the brace_depth and depth it opened at
         self.lists: list[list] = []
 
     # --- token plumbing -------------------------------------------------
