@@ -168,9 +168,8 @@ class _Parser:
     def here(self) -> SrcSpan:
         """The span of the current token; EOF sits at column 1 of the last line."""
         i = self.pos
-        if self.kinds[i] == EOF:
-            last_line = self.text.count("\n") + 1
-            return SrcSpan(last_line, 1, last_line, 1)
+        if self.kinds[i] == EOF:  # where the scan of the whole text stopped
+            return SrcSpan(self.tokens.line, 1, self.tokens.line, 1)
         return self.span(i, i)
 
     def fail(self, expected: str) -> NoReturn:
