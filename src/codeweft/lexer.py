@@ -89,8 +89,7 @@ class Tokens:
     `values[i]`; it runs from line `lines[i]`, column `cols[i]` to line
     `end_lines[i]`, column `end_cols[i]`, the bounds of its span. `len()`
     is the token count; the parser reads the lists and builds a span only
-    for what it keeps. `stack`, `line` and `line_start` hold the scan state
-    where the last `scan` stopped, so a later one can carry on from there.
+    for what it keeps. `stack`, `line` and `line_start` are where `scan` stopped.
     """
 
     __slots__ = ("kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols",
@@ -146,8 +145,7 @@ def tokenize(text: str, keep_newlines: bool = False) -> Tokens:
 
 
 def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
-    """Append the tokens of text[pos:] to `tokens`, carrying on from the scan
-    state the last scan left; text[:pos] is what that scan read."""
+    """Append the tokens of text[pos:], carrying on from where the scan of text[:pos] stopped."""
     kinds, texts, values = tokens.kinds, tokens.texts, tokens.values
     lines, cols, end_lines, end_cols = tokens.lines, tokens.cols, tokens.end_lines, tokens.end_cols
     stack, line, line_start = tokens.stack, tokens.line, tokens.line_start

@@ -135,9 +135,9 @@ class _Parser:
         self.pos = 0
         self.brace_depth = 0
         self.depth = 0  # parse_expr calls open
-        # per open block or argument list: the first tokens of its previous and
-        # current items, its closer, and the brace_depth and depth it opened at
-        self.lists: list[list] = []
+        # lists open where the input ran out, innermost first: (first token of the
+        # item before the current one, closer, brace_depth and depth at the opener)
+        self.lists: list[tuple] = []
 
     # --- token plumbing -------------------------------------------------
 
@@ -255,18 +255,21 @@ class _Parser:
 
     def parse_block(self) -> list[Arg]:
         """The statements after a `{`, through its `}`."""
-        self.lists.append(entry := [self.pos, self.pos, "}", self.brace_depth, self.depth])
+        brace_depth, depth, item = self.brace_depth, self.depth, self.pos
         self.brace_depth += 1
         stmts: list[Arg] = []
-        while True:
-            self.skip_separators()
-            entry[0], entry[1] = entry[1], self.pos
-            if self.at(OP, "}"):
-                break
-            stmts.append(Arg(self.parse_expr(0)))
-            if not (self.at(NEWLINE) or self.at(SEMI) or self.at(OP, "}")):
-                self.fail("'}', newline or ';'")
-        self.lists.pop()
+        try:
+            while True:
+                self.skip_separators()
+                prev, item = item, self.pos
+                if self.at(OP, "}"):
+                    break
+                stmts.append(Arg(self.parse_expr(0)))
+                if not (self.at(NEWLINE) or self.at(SEMI) or self.at(OP, "}")):
+                    self.fail("'}', newline or ';'")
+        except IncompleteInput:
+            self.lists.append((prev, "}", brace_depth, depth))
+            raise
         self.advance()
         self.brace_depth -= 1
         return stmts
@@ -302,17 +305,20 @@ class _Parser:
         args: list[Arg] = []
         if self.at(OP, closer):
             return args
-        self.lists.append(entry := [self.pos, self.pos, closer, self.brace_depth, self.depth])
-        while True:
-            entry[0], entry[1] = entry[1], self.pos
-            if self.at(OP, ",") or self.at(OP, closer):
-                args.append(Arg(SymbolRef("")))
-            else:
-                args.append(self.parse_one_arg())
-            if not self.at(OP, ","):
-                self.lists.pop()
-                return args
-            self.advance()
+        brace_depth, depth, item = self.brace_depth, self.depth, self.pos
+        try:
+            while True:
+                prev, item = item, self.pos
+                if self.at(OP, ",") or self.at(OP, closer):
+                    args.append(Arg(SymbolRef("")))
+                else:
+                    args.append(self.parse_one_arg())
+                if not self.at(OP, ","):
+                    return args
+                self.advance()
+        except IncompleteInput:
+            self.lists.append((prev, closer, brace_depth, depth))
+            raise
 
     def parse_one_arg(self) -> Arg:
         i = self.pos
@@ -395,7 +401,7 @@ class _Parser:
     # --- program level --------------------------------------------------
 
     def parse_top_level(self) -> tuple[Expr, SrcSpan]:
-        self.depth, self.lists = 0, []  # an error may have left parse_expr calls and lists open
+        self.depth = 0  # an error may have left parse_expr calls unclosed
         expr = self.parse_expr(0)
         if not (self.at(NEWLINE) or self.at(SEMI) or self.at(EOF)):
             self.fail("newline, ';' or end of input")
@@ -446,25 +452,20 @@ def _parse_tokens(tokens: Tokens, text: str) -> ProgramResult:
             result.errors.append(err.with_traceback(None))
             parser.resync()
     if result.errors and isinstance(result.errors[0], IncompleteInput):
-        # the one error, at the end of the text: the lists open there stay open
-        result.incomplete, result._parser = True, parser
+        result.incomplete, result._parser = True, parser  # its one error, at the end of the text
     return result
 
 
 def resume_program(result: ProgramResult, text: str) -> ProgramResult:
-    """`parse_program(text)`, for a text that extends the text of the
-    incomplete `result` by whole lines; `result` cannot be resumed again,
-    and a result that cannot be resumed gives a full parse.
-
-    Only the new lines are lexed, and only the innermost open list is parsed
-    again, from the item before the current one (a new line can still join
-    it: an `else`); once it closes, the next one out; once none is left, all.
-    """
+    """`parse_program(text)` for a text that extends an incomplete result's
+    text by whole lines, lexing only those lines and parsing again only the
+    innermost open list, from the item before the current one (a new line can
+    still join it: an `else`); then the next one out, then all. A result is
+    resumed once; one that cannot be gives a full parse."""
     parser, result._parser = result._parser, None
     if not (parser and text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
         return parse_program(text)
-    tokens = parser.tokens
-    n = len(tokens)
+    tokens, n, lists = parser.tokens, len(parser.tokens), parser.lists
     try:
         lexer.scan(tokens, text, len(parser.text), keep_newlines=True)
     except SourceError:
@@ -472,14 +473,15 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     parser.kinds[n:] = [*tokens.kinds[n:], EOF]
     parser.texts[n:] = [*tokens.texts[n:], ""]
     parser.text = text
-    while parser.lists:
-        parser.pos, _, closer, parser.brace_depth, parser.depth = parser.lists.pop()
+    for i, (pos, closer, brace_depth, depth) in enumerate(lists):
+        parser.pos, parser.brace_depth, parser.depth, parser.lists = pos, brace_depth, depth, []
         try:
             if closer == "}":
                 parser.parse_block()
             else:
                 parser.parse_args(closer)
         except IncompleteInput as err:
+            parser.lists += lists[i + 1 :]
             return ProgramResult(list(result.exprs), [err.with_traceback(None)], True, parser)
         except SourceError:
             break
