@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import EmptyInput, SchemaError, UnknownColumn
 
@@ -18,28 +19,29 @@ def _check_columns(rows: Sequence[Row], columns: Sequence[str]) -> None:
             raise UnknownColumn(f"row {i}: unknown column(s): {', '.join(missing)}")
 
 
+def _groups(rows: Sequence[Row], column: str) -> Iterator[tuple]:
+    """The group of each row's `column` value: the value with its type, so
+    the JSON values `1`, `true` and `1.0`, equal in Python, are three groups."""
+    get = itemgetter(column)
+    return zip(map(get, rows), map(type, map(get, rows)))
+
+
 def count_funcs(
     rows: Sequence[Row], keys: Sequence[str], sort: bool = False
 ) -> list[dict]:
     """One output row per distinct key tuple with its row count `n`.
 
-    Keys group by (type, value), so JSON `1`, `true` and `1.0` differ. With
-    sort=True, rows are ordered by n descending, ties by key tuple ascending,
-    each key compared as (type name, value); otherwise by first appearance.
+    Rows group by `_groups`. With sort=True, rows are ordered by n descending,
+    ties by key tuple ascending, each key compared as (type name, value);
+    otherwise by first appearance.
     """
     if not keys or len(set(keys)) != len(keys):
         raise UnknownColumn("grouping keys must be non-empty and unique")
     _check_columns(rows, keys)
-    get = itemgetter(*keys) if len(keys) > 1 else lambda row: (row[keys[0]],)
-    counts: dict[tuple, int] = {}
-    for row in rows:
-        values = get(row)
-        key = (values, tuple(map(type, values)))
-        counts[key] = counts.get(key, 0) + 1
-    items = [(values, n) for (values, _), n in counts.items()]
+    items = list(Counter(zip(*[_groups(rows, key) for key in keys])).items())
     if sort:
-        items.sort(key=lambda kv: (-kv[1], [(type(v).__name__, v) for v in kv[0]]))
-    return [dict(zip(keys, key)) | {"n": n} for key, n in items]
+        items.sort(key=lambda kv: (-kv[1], [(t.__name__, v) for v, t in kv[0]]))
+    return [dict(zip(keys, [v for v, _ in key])) | {"n": n} for key, n in items]
 
 
 def class_percentages(
@@ -48,25 +50,24 @@ def class_percentages(
     """Average, across units, of each class's share of the unit's rows.
 
     Per unit, each class's share is n / (unit row count); the average for
-    a class is taken over the units in which it appears. Output is
-    percentage points, sorted descending.
+    a class is taken over the units in which it appears. Units and classes
+    group by `_groups`. Output is percentage points, sorted descending.
     """
     if not rows:
         raise EmptyInput("no rows to summarise")
     _check_columns(rows, [unit, class_col])
-    per_unit: dict[object, dict[object, int]] = {}
-    for row in rows:
-        unit_counts = per_unit.setdefault(row[unit], {})
-        cls = row[class_col]
+    per_unit: dict[tuple, dict[tuple, int]] = {}
+    for unit_key, cls in zip(_groups(rows, unit), _groups(rows, class_col)):
+        unit_counts = per_unit.setdefault(unit_key, {})
         unit_counts[cls] = unit_counts.get(cls, 0) + 1
-    shares: dict[object, list[float]] = {}
+    shares: dict[tuple, list[float]] = {}
     for unit_counts in per_unit.values():
         total = sum(unit_counts.values())
         for cls, n in unit_counts.items():
             shares.setdefault(cls, []).append(n / total)
     out = [
         {class_col: cls, "average_percent": 100.0 * sum(vals) / len(vals)}
-        for cls, vals in shares.items()
+        for (cls, _), vals in shares.items()
     ]
     out.sort(key=lambda r: (-r["average_percent"], str(r[class_col])))
     return out
@@ -77,25 +78,26 @@ def top_n_by_group(
 ) -> list[dict]:
     """Per group, the n rows with the highest `n` count.
 
-    Rows tying the nth-largest count are all retained. Input order is
-    preserved within the output.
+    Rows group by `_groups`. Rows tying the nth-largest count are all
+    retained. Input order is preserved within the output.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_columns(count_table, [group_col, "n"])
     counts: list[int] = []
-    by_group: dict[object, list[int]] = {}
-    for i, row in enumerate(count_table, 1):
+    groups = list(_groups(count_table, group_col))
+    by_group: dict[tuple, list[int]] = {}
+    for i, (row, group) in enumerate(zip(count_table, groups), 1):
         try:
             count = int(row["n"])  # type: ignore[arg-type]
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"row {i}: n is not an integer: {row['n']!r}") from exc
         counts.append(count)
-        by_group.setdefault(row[group_col], []).append(count)
+        by_group.setdefault(group, []).append(count)
     cutoffs = {
         group: sorted(group_counts, reverse=True)[min(n, len(group_counts)) - 1]
         for group, group_counts in by_group.items()
     }
     return [
-        dict(row) for row, count in zip(count_table, counts) if count >= cutoffs[row[group_col]]
+        dict(row) for row, g, count in zip(count_table, groups, counts) if count >= cutoffs[g]
     ]

@@ -23,7 +23,7 @@ from .deparse import deparse, deparse_arg
 from .errors import CodeweftError, HttpError, IoError, SchemaError, SourceError, UnknownColumn
 from .lexicon import classify, load_classifications, load_stopfuncs, remove_stopfuncs
 from .rast import NullLit, StringLit, to_json
-from .recorder import log_table, record, remove_log
+from .recorder import LOG_COLUMNS, log_table, record, remove_log
 from .unnest import unnest_corpus
 
 EXIT_OK = 0
@@ -31,6 +31,13 @@ EXIT_PARSE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_IO = 66
+
+
+def _exit_code(exc: Exception) -> int:
+    """66 for I/O, 2 for an error in a source, 65 for any other data error."""
+    if isinstance(exc, (IoError, HttpError, OSError)):
+        return EXIT_IO
+    return EXIT_PARSE if isinstance(exc, SourceError) else EXIT_DATA
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,6 +70,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("parse", help="expression dump per source")
     p.add_argument("sources", nargs="*")
     p.add_argument("--json-ast", action="store_true", help="include the expression tree")
+    p.set_defaults(run=cmd_parse)
     _output_options(p)
 
     p = subs.add_parser("unnest", help="tidy function/argument rows")
@@ -70,6 +78,7 @@ def build_parser() -> _Parser:
     p.add_argument("--drop-literals", action="store_true",
                    help="drop string/NULL top-level expressions before unnesting")
     p.add_argument("--with-depth", action="store_true", help="add the call depth column")
+    p.set_defaults(run=cmd_unnest)
     _output_options(p)
 
     p = subs.add_parser("classify", help="join tokens with lexicons")
@@ -80,6 +89,7 @@ def build_parser() -> _Parser:
                    help="keep only the top classification per function")
     p.add_argument("--drop-stopfuncs", action="store_true")
     p.add_argument("--drop-literals", action="store_true")
+    p.set_defaults(run=cmd_classify)
     _output_options(p)
 
     p = subs.add_parser("stats", help="summary tables")
@@ -91,6 +101,7 @@ def build_parser() -> _Parser:
     p.add_argument("--class-col", default="classification")
     p.add_argument("--group", default=None, help="group column for top")
     p.add_argument("--n", type=_positive_int, default=5)
+    p.set_defaults(run=cmd_stats)
     _output_options(p)
 
     p = subs.add_parser("record", help="log a session from stdin")
@@ -99,11 +110,13 @@ def build_parser() -> _Parser:
                    help="request value capture (recorded in metadata only)")
     p.add_argument("--table", action="store_true", help="print the tidy log and exit")
     p.add_argument("--remove", action="store_true", help="delete the log and exit")
+    p.set_defaults(run=cmd_record)
     _output_options(p)
 
     p = subs.add_parser("fetch", help="ingest a manifest of sources")
     p.add_argument("manifest")
     p.add_argument("--concurrency", type=_positive_int, default=4)
+    p.set_defaults(run=cmd_fetch)
     _output_options(p)
 
     return parser
@@ -148,7 +161,7 @@ def _stream(
         for result in results:
             for err in result.errors:
                 print(f"codeweft: {err}", file=sys.stderr)
-                code = max(code, EXIT_IO if isinstance(err, (IoError, HttpError)) else EXIT_PARSE)
+                code = max(code, _exit_code(err))
             yield from rows_of(result.records)
 
     _write_rows(rows(), columns, args)
@@ -283,8 +296,7 @@ def cmd_record(args) -> int:
         remove_log(args.log)
         return EXIT_OK
     if args.table:
-        columns = ["expr", "value", "path", "contents", "selection", "dt"]
-        _write_rows(([row[c] for c in columns] for row in log_table(args.log)), columns, args)
+        _write_rows(map(dict.values, log_table(args.log)), list(LOG_COLUMNS), args)
         return EXIT_OK
     if isinstance(sys.stdin, io.TextIOWrapper):  # a stray byte must not end the session
         sys.stdin.reconfigure(encoding="utf-8", errors="replace")
@@ -297,33 +309,17 @@ def cmd_fetch(args) -> int:
     return _stream(args, ["file", "line", "text"], _expression_rows(False), [result])
 
 
-_COMMANDS = {
-    "parse": cmd_parse,
-    "unnest": cmd_unnest,
-    "classify": cmd_classify,
-    "stats": cmd_stats,
-    "record": cmd_record,
-    "fetch": cmd_fetch,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     # OSError: an unwritable output, a closed pipe, a log path that cannot be one
-    except (IoError, HttpError, OSError) as exc:
+    except (CodeweftError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader is gone: send what is still buffered nowhere, quietly
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"codeweft: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SourceError as exc:
-        print(f"codeweft: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CodeweftError as exc:
-        print(f"codeweft: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

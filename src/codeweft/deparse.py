@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import re
 
-from .parser import _INFIX, _NS_BP, _POSTFIX_BP, _SPECIAL_BP, _UNARY_BP
+from .lexer import KEYWORDS
+from .parser import _CONSTANTS, _INFIX, _NS_BP, _POSTFIX_BP, _SPECIAL_BP, _UNARY_BP
 from .rast import Arg, Expr, LogicalLit, NullLit, NumLit, StringLit, SymbolRef
 
 _TIGHT_OPS = {"^", ":"}
-_RESERVED = {
-    "if", "else", "for", "while", "repeat", "function", "break", "next", "in",
-    "TRUE", "FALSE", "NULL", "NA", "Inf", "NaN",
-    "NA_integer_", "NA_real_", "NA_character_", "NA_complex_",
+# names a symbol can only have in backticks
+_RESERVED = KEYWORDS | _CONSTANTS.keys() | {
+    f"NA_{t}_" for t in ("integer", "real", "character", "complex")
 }
 _SYNTACTIC_NAME = re.compile(r"^(\.\.\.|[a-zA-Z][a-zA-Z0-9._]*|\.(?:[a-zA-Z._][a-zA-Z0-9._]*)?)$")
 

@@ -416,6 +416,8 @@ class _Parser:
             if kind == OP and text in ("(", "[", "[[", "{"):
                 depth += 2 if text == "[[" else 1
             elif kind == OP and text in (")", "]", "}"):
+                if not depth and text == "}":  # it closes a block the error left open
+                    self.brace_depth = max(0, self.brace_depth - 1)
                 depth = max(0, depth - 1)
             elif kind in (NEWLINE, SEMI) and depth == 0:
                 return

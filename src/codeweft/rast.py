@@ -13,6 +13,7 @@ spelling they had in the source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -144,11 +145,6 @@ def walk_calls(expr: Expr) -> Iterator[tuple[Call, int]]:
             stack.append((node.callee, depth))
 
 
-def count_calls(expr: Expr) -> int:
-    """Number of Call nodes in the tree (the unnest row count)."""
-    return sum(1 for _ in walk_calls(expr))
-
-
 def strip_parens(expr: Expr) -> Expr:
     """Drop `(` wrapper calls everywhere; used by round-trip property tests."""
     if not isinstance(expr, Call):
@@ -170,6 +166,8 @@ def to_json(expr: Expr) -> dict:
         return {"kind": "logical", "value": expr.value}
     if isinstance(expr, NumLit):
         out: dict = {"kind": "num", "text": expr.text, "value": expr.value}
+        if not math.isfinite(expr.value):  # JSON has no such number: write what R prints
+            out["value"] = "NaN" if math.isnan(expr.value) else "Inf" if expr.value > 0 else "-Inf"
         if expr.is_int:
             out["int"] = True
         return out
@@ -195,7 +193,8 @@ def from_json(data: dict) -> Expr:
     if kind == "logical":
         return LogicalLit(data["value"])
     if kind == "num":
-        return NumLit(text=data["text"], value=data["value"], is_int=data.get("int", False))
+        # float() reads the Inf, -Inf and NaN that to_json writes
+        return NumLit(text=data["text"], value=float(data["value"]), is_int=data.get("int", False))
     if kind == "string":
         return StringLit(data["value"])
     if kind == "symbol":

@@ -32,6 +32,7 @@ KIND_EXPRESSION = "expression"
 # columns an IDE-integrated evaluator would fill; kept empty for schema
 # compatibility
 EMPTY_COLUMNS = ("value", "path", "contents", "selection")
+LOG_COLUMNS = ("expr", *EMPTY_COLUMNS, "dt")  # of a `log_table` row, in order
 
 Clock = Callable[[], datetime]
 
@@ -40,12 +41,12 @@ def _utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-def default_log_path() -> Path:
-    override = os.environ.get(ENV_LOG_PATH)
-    if override:
-        return Path(override)
-    state_home = os.environ.get("XDG_STATE_HOME", os.path.expanduser("~/.local/state"))
-    return Path(state_home) / "codeweft" / "session.jsonl"
+def _log_path(log_path: Optional[str | Path]) -> Path:
+    """`log_path` if given, else $CODEWEFT_LOG_PATH, else the user's state directory."""
+    if log_path is None:
+        state_home = os.environ.get("XDG_STATE_HOME", os.path.expanduser("~/.local/state"))
+        log_path = os.environ.get(ENV_LOG_PATH) or Path(state_home) / "codeweft" / "session.jsonl"
+    return Path(log_path)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def record(
     capture itself needs an evaluator and stays empty.
     """
     clock = clock or _utc_now
-    path = Path(log_path) if log_path is not None else default_log_path()
+    path = _log_path(log_path)
     path.parent.mkdir(parents=True, exist_ok=True)
 
     events: list[SessionEvent] = []
@@ -128,11 +129,11 @@ def record(
         pending: list[str] = []
         program = ProgramResult()
         for line in lines:
-            pending.append(line.rstrip("\n"))
-            chunk = "\n".join(pending)
-            if not chunk.strip():
-                pending.clear()
+            line = line.rstrip("\n")
+            if not pending and not line.strip():
                 continue
+            pending.append(line)
+            chunk = "\n".join(pending)
             program = resume_program(program, chunk)  # a full parse unless it was incomplete
             if program.incomplete:
                 continue
@@ -144,7 +145,7 @@ def record(
                     emit(SessionEvent(KIND_EXPRESSION, stamp(), text, {"parsed": True}))
             pending.clear()
 
-        if pending and "\n".join(pending).strip():
+        if pending:
             # stream ended mid-expression; keep the raw text, never drop it
             emit(SessionEvent(KIND_EXPRESSION, stamp(), "\n".join(pending), {"parsed": False}))
 
@@ -168,7 +169,7 @@ def _expression_texts(lines: list[str], spans: list[SrcSpan]) -> list[str]:
 
 
 def read_log(log_path: Optional[str | Path] = None) -> list[SessionEvent]:
-    path = Path(log_path) if log_path is not None else default_log_path()
+    path = _log_path(log_path)
     if not path.exists():
         raise MissingLog(f"no session log at {path}")
     events = []
@@ -187,8 +188,9 @@ def read_log(log_path: Optional[str | Path] = None) -> list[SessionEvent]:
 def log_table(log_path: Optional[str | Path] = None) -> list[dict]:
     """Tidy rows for the accumulated sessions in the log.
 
-    Columns: expr (deparsed when parseable), value, path, contents,
-    selection (all empty; they need an embedded evaluator/IDE) and dt.
+    Columns, as in `LOG_COLUMNS`: expr (deparsed when parseable), value,
+    path, contents, selection (all empty; they need an embedded
+    evaluator/IDE) and dt.
     """
     rows = []
     for event in read_log(log_path):
@@ -199,16 +201,14 @@ def log_table(log_path: Optional[str | Path] = None) -> list[dict]:
             expr = "; ".join(deparse(e) for e, _ in program.exprs) or event.expr_text
         else:
             expr = event.expr_text
-        row = {"expr": expr}
-        row.update({col: "" for col in EMPTY_COLUMNS})
-        row["dt"] = event.dt.isoformat(timespec="milliseconds")
-        rows.append(row)
+        dt = event.dt.isoformat(timespec="milliseconds")
+        rows.append(dict.fromkeys(LOG_COLUMNS, "") | {"expr": expr, "dt": dt})
     return rows
 
 
 def remove_log(log_path: Optional[str | Path] = None) -> bool:
     """Delete the persisted log; warns (without failing) when absent."""
-    path = Path(log_path) if log_path is not None else default_log_path()
+    path = _log_path(log_path)
     if not path.exists():
         warnings.warn(f"no session log to remove at {path}")
         return False

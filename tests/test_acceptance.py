@@ -21,7 +21,7 @@ from codeweft.lexicon import (
     remove_stopfuncs,
 )
 from codeweft.parser import parse_expr
-from codeweft.rast import Call, StringLit, count_calls, strip_parens, to_json
+from codeweft.rast import Call, StringLit, strip_parens, to_json, walk_calls
 from codeweft.recorder import KIND_EXPRESSION, log_table, record
 from codeweft.unnest import unnest_corpus
 
@@ -142,7 +142,7 @@ def test_07_property_suites():
     for _ in range(500):
         tree = random_tree(rng, rng.randint(1, 5))
         record_ = CallRecord(file="<gen>", expr=tree, line=1)
-        if len(unnest_corpus([record_])) != count_calls(tree):
+        if len(unnest_corpus([record_])) != sum(1 for _ in walk_calls(tree)):
             failures += 1
     # join counts against brute-force filters
     tokens = unnest_corpus(

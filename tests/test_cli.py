@@ -490,6 +490,55 @@ def test_counts_keep_json_keys_of_different_types_apart(capsys, tmp_path):
     assert [type(json.loads(line)["func"]) for line in out.splitlines()] == [int, bool, float]
 
 
+@pytest.mark.parametrize(
+    "table, argv, expected",
+    [
+        # 1, true and 1.0 are three units, so each class is the whole of its units
+        (
+            '{"id": 1, "classification": "a"}\n{"id": true, "classification": "b"}\n'
+            '{"id": 1.0, "classification": "a"}\n',
+            ["percent", "--unit", "id"],
+            "classification,average_percent\na,100.00\nb,100.00\n",
+        ),
+        (
+            '{"id": "u", "classification": 1}\n{"id": "u", "classification": true}\n',
+            ["percent", "--unit", "id", "--format", "jsonl"],
+            '{"classification": 1, "average_percent": 50.0}\n'
+            '{"classification": true, "average_percent": 50.0}\n',
+        ),
+        (
+            '{"g": 1, "n": 2}\n{"g": true, "n": 1}\n',
+            ["top", "--group", "g", "--n", "1", "--format", "jsonl"],
+            '{"g": 1, "n": 2}\n{"g": true, "n": 1}\n',
+        ),
+    ],
+    ids=["percent-units", "percent-classes", "top-groups"],
+)
+def test_percent_and_top_keep_json_keys_of_different_types_apart(capsys, tmp_path, table, argv,
+                                                                 expected):
+    path = tmp_path / "table.jsonl"
+    path.write_text(table)
+    code, out, err = run(capsys, "stats", *argv, "--input", str(path))
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def test_json_ast_writes_non_finite_numbers_as_strict_json(capsys, tmp_path):
+    source = tmp_path / "inf.R"
+    source.write_text("Inf\nNaN\n1e999\n")
+    code, out, _ = run(capsys, "parse", "--json-ast", "--format", "jsonl", str(source))
+    assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"not standard JSON: {name}")
+
+    rows = [json.loads(line, parse_constant=refuse) for line in out.splitlines()]
+    asts = [json.loads(row["ast"], parse_constant=refuse) for row in rows]
+    assert [(row["text"], ast["value"]) for row, ast in zip(rows, asts)] == [
+        ("Inf", "Inf"), ("NaN", "NaN"), ("1e999", "Inf"),
+    ]
+
+
 def test_stats_reads_a_table_with_a_long_field(tmp_path):
     # a string literal longer than the csv module's default field limit (131072)
     big = tmp_path / "big.R"

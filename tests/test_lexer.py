@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from codeweft.errors import (
@@ -33,6 +35,11 @@ def test_numbers():
         (3.0, True),
         (0.5, False),
     ]
+
+
+def test_hex_number_past_the_double_range_is_inf():
+    # R reads a hex literal into a double, which overflows to Inf
+    assert tokenize("0x" + "F" * 300 + "L").values == [(math.inf, True)]
 
 
 def test_string_escapes():

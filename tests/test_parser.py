@@ -1,4 +1,6 @@
 import gc
+import json
+import math
 import time
 
 import pytest
@@ -19,7 +21,7 @@ from codeweft.rast import (
     StringLit,
     SymbolRef,
     call,
-    count_calls,
+    from_json,
     strip_parens,
     to_json,
     walk_calls,
@@ -217,6 +219,35 @@ def test_else_requires_brace_context_after_newline():
     assert len(inner["args"]) == 3
 
 
+@pytest.mark.parametrize(
+    "text, exprs, errors",
+    [
+        # the error's recovery consumes the block's `}`, so the `if` is at top level
+        ("{ x y }\nif (a) b\nelse c\n", ["if (a) b"], [(1, 5), (3, 1)]),
+        ("f(x y)\nif (a) b\nelse c\n", ["if (a) b"], [(1, 5), (3, 1)]),
+        # the block stays open, so the `else` joins the `if` inside it
+        ("{\n x y\n if (a) b\n else c\n}\n", ["if (a) b else c"], [(2, 4), (5, 1)]),
+    ],
+    ids=["closed-block", "closed-call", "open-block"],
+)
+def test_recovery_leaves_a_block_its_error_closed(text, exprs, errors):
+    result = parse_program(text)
+    assert [deparse(e) for e, _ in result.exprs] == exprs
+    assert [(e.span.start_line, e.span.start_col) for e in result.errors] == errors
+
+
+def test_non_finite_numbers_dump_as_strict_json():
+    trees = [e for e, _ in parse_program("Inf\nNaN\n1e999\n").exprs] + [NumLit.of(-math.inf)]
+    dumps = [json.dumps(to_json(t)) for t in trees]
+
+    def refuse(name):
+        raise ValueError(f"not standard JSON: {name}")
+
+    loaded = [json.loads(d, parse_constant=refuse) for d in dumps]
+    assert [d["value"] for d in loaded] == ["Inf", "NaN", "Inf", "-Inf"]
+    assert [from_json(d) for d in loaded] == trees
+
+
 def test_newline_inside_call_continues_expression():
     assert parse_expr("f(\n1,\n2\n)") == parse_expr("f(1, 2)")
 
@@ -346,7 +377,7 @@ def test_node_spans(text, expected, errors):
 def test_nesting_at_the_cap_parses_deparses_unnests_and_dumps(form):
     tree = parse_expr(NESTED[form](MAX_NESTING))
     assert strip_parens(parse_expr(deparse(tree))) == strip_parens(tree)
-    assert len(unnest_calls(CallRecord("a.R", tree, 1))) == count_calls(tree)
+    assert len(unnest_calls(CallRecord("a.R", tree, 1))) == sum(1 for _ in walk_calls(tree))
     assert to_json(tree)["kind"] == "call"
 
 

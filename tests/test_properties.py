@@ -24,8 +24,8 @@ from codeweft.rast import (
     NumLit,
     StringLit,
     SymbolRef,
-    count_calls,
     strip_parens,
+    walk_calls,
 )
 from codeweft.recorder import KIND_EXPRESSION, _expression_texts, record
 from codeweft.unnest import unnest_corpus
@@ -195,7 +195,7 @@ def test_unnest_count_matches_bruteforce(seed):
     rng = random.Random(seed)
     tree = random_tree(rng, rng.randint(1, 6))
     record = CallRecord(file="<gen>", expr=tree, line=1)
-    assert len(unnest_corpus([record])) == count_calls(tree)
+    assert len(unnest_corpus([record])) == sum(1 for _ in walk_calls(tree))
 
 
 # --- join oracles -------------------------------------------------------

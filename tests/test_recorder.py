@@ -97,6 +97,12 @@ def test_timestamps_are_utc_millisecond_monotonic(clock, log):
         assert dt.microsecond % 1000 == 0
 
 
+def test_naive_clock_time_is_logged_as_utc(log):
+    record(["x"], clock=lambda: datetime(2024, 1, 2, 3, 4, 5, 678_901), log_path=log)
+    stamps = {e.dt for e in read_log(log)}
+    assert stamps == {datetime(2024, 1, 2, 3, 4, 5, 678_000, tzinfo=timezone.utc)}
+
+
 def test_sessions_append(clock, log):
     record(["1"], clock=clock, log_path=log)
     record(["2"], clock=clock, log_path=log)

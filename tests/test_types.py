@@ -73,6 +73,11 @@ def test_numlit_compares_by_value_and_nan_equals_nan():
     assert hash(nan) == hash(NumLit("NaN", math.nan))
 
 
+def test_numlit_of_spells_its_value():
+    assert [NumLit.of(v).text for v in (2.5, 3, 3.0)] == ["2.5", "3", "3"]
+    assert NumLit.of(3, is_int=True) == NumLit("3", 3.0, is_int=True)
+
+
 @pytest.mark.parametrize("clone", [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
                          ids=["pickle", "deepcopy"])
 def test_trees_and_rows_survive_pickle_and_deepcopy(clone):

@@ -1,6 +1,6 @@
 from codeweft.corpus import CallRecord, read_rfiles, recital
 from codeweft.parser import parse_expr
-from codeweft.rast import SymbolRef, call, count_calls
+from codeweft.rast import SymbolRef, call, walk_calls
 from codeweft.unnest import func_name, unnest_calls, unnest_corpus
 
 
@@ -51,7 +51,7 @@ def test_token_count_equals_call_count():
         "if (x) { y <- 1 } else z", "function(a) a + 1",
     ]:
         expr = parse_expr(src)
-        assert len(unnest_calls(rec(src))) == count_calls(expr)
+        assert len(unnest_calls(rec(src))) == sum(1 for _ in walk_calls(expr))
 
 
 def test_func_name_of_non_symbol_callee():
@@ -87,7 +87,7 @@ def test_ten_thousand_stage_pipe_unnests():
     for _ in range(10_000):
         tree = call("%>%", tree, call("f"))
     tokens = unnest_corpus([CallRecord("deep.R", tree, 1)])
-    assert count_calls(tree) == len(tokens) == 20_000
+    assert sum(1 for _ in walk_calls(tree)) == len(tokens) == 20_000
     assert [(t.func, t.depth) for t in tokens[:3]] == [("%>%", 0), ("%>%", 1), ("%>%", 2)]
     assert [(t.func, t.depth) for t in tokens[9_999:10_001]] == [("%>%", 9_999), ("f", 10_000)]
     assert (tokens[-1].func, tokens[-1].depth) == ("f", 1)

@@ -141,7 +141,8 @@ def hand_cases():
         ("FALSE", logical(False)),
         ("NA", logical(None)),
         ("NULL", null()),
-        ("Inf", num("Inf", float("inf"))),
+        # JSON has no Inf: a non-finite value is the text R prints
+        ("Inf", num("Inf", "Inf")),
         ('"hi"', string("hi")),
         ('"a\\"b"', string('a"b')),
         ("'single'", string("single")),
