@@ -15,7 +15,7 @@ import math
 import re
 
 from .errors import InvalidCharacter, UnterminatedBacktick, UnterminatedString
-from .rast import SrcSpan
+from .rast import SrcSpan, unchecked_span
 
 # token kinds
 NUM = "num"
@@ -111,8 +111,10 @@ class Tokens:
         return len(self.kinds)
 
     def span(self, first: int, last: int) -> SrcSpan:
-        """From the start of token `first` to the end of token `last`."""
-        return SrcSpan(
+        """From the start of token `first` to the end of token `last`, for
+        first <= last: no token ends before it starts, so the span is ordered
+        without a check."""
+        return unchecked_span(
             self.lines[first], self.cols[first], self.end_lines[last], self.end_cols[last]
         )
 

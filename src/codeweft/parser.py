@@ -36,6 +36,9 @@ from .rast import (
     SrcSpan,
     StringLit,
     SymbolRef,
+    unchecked_arg,
+    unchecked_call,
+    unchecked_symbol,
 )
 
 # infix binding powers: name -> (left bp, right-assoc flag)
@@ -118,7 +121,10 @@ class _Parser:
     Tokens are addressed by index; a `SrcSpan` is built only for a tree
     node or an error. `node` is the one owner of the span rule: a node runs
     from its first token to the last one consumed, `self.pos - 1` once it
-    is parsed.
+    is parsed. That token is never before the first, so a node span is
+    ordered by construction and may skip `SrcSpan`'s check: node spans and
+    the hot nodes are built by `rast`'s unchecked constructors, while `here`
+    and the lexer's error spans keep the checked one.
     """
 
     __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth",
@@ -180,8 +186,8 @@ class _Parser:
     def node(self, op: int, args: Sequence[Arg], first: int, name: str | None = None) -> Call:
         """The call of operator or keyword token `op` (called `name` if given),
         spanning token `first` through the last token consumed."""
-        callee = SymbolRef(name or self.texts[op], self.span(op, op))
-        return Call(callee, tuple(args), self.span(first, self.pos - 1))
+        callee = unchecked_symbol(name or self.texts[op], self.span(op, op))
+        return unchecked_call(callee, tuple(args), self.span(first, self.pos - 1))
 
     # --- expressions ----------------------------------------------------
 
@@ -215,7 +221,8 @@ class _Parser:
             else:
                 operand = self.parse_expr(lbp if right else lbp + 1)
             name = _RIGHTWARD.get(text)  # R rewrites rightward assignment
-            args = (Arg(operand), Arg(left)) if name else (Arg(left), Arg(operand))
+            lhs, rhs = unchecked_arg(left), unchecked_arg(operand)
+            args = (rhs, lhs) if name else (lhs, rhs)
             left = self.node(i, args, first, name)
         self.depth = depth
         return left
@@ -236,7 +243,7 @@ class _Parser:
             text = self.texts[i]
             if text in _CONSTANTS and not self.tokens.quoted(i):
                 return _CONSTANTS[text](self.span(i, i))
-            return SymbolRef(text, self.span(i, i))
+            return unchecked_symbol(text, self.span(i, i))
         if kind == KEYWORD:
             return self.parse_keyword()
         text = self.texts[i]
@@ -295,7 +302,7 @@ class _Parser:
         if text == "[[":
             self.expect(OP, "]", what="']]'")
         if text == "(":
-            return Call(callee, tuple(args), self.span(first, self.pos - 1))
+            return unchecked_call(callee, tuple(args), self.span(first, self.pos - 1))
         # an empty subscript keeps R's missing-argument slot: x[] has one
         return self.node(i, [Arg(callee), *(args or [Arg(SymbolRef(""))])], first)
 
@@ -326,8 +333,8 @@ class _Parser:
         if kind in (NAME, STRING) and self.kinds[i + 1] == OP and self.texts[i + 1] == "=":
             self.pos = i + 2
             name = self.texts[i] if kind == NAME else self.values[i]
-            return Arg(self.parse_body(), name=name)  # type: ignore[arg-type]
-        return Arg(self.parse_expr(0))
+            return unchecked_arg(self.parse_body(), name)  # type: ignore[arg-type]
+        return unchecked_arg(self.parse_expr(0))
 
     # --- keyword constructs --------------------------------------------
 

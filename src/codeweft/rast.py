@@ -124,6 +124,54 @@ class Call:
 Expr = Union[NullLit, LogicalLit, NumLit, StringLit, SymbolRef, Call]
 
 
+# Unchecked constructors for the parser's hot path. Each makes the same
+# object as the public constructor, but fills the slots through the class's
+# own member descriptors: no dataclass `__init__` (one `object.__setattr__`
+# per field) and no `SrcSpan.__post_init__`, so a caller passes only a span
+# that is already ordered. Written out per class: a loop over the slots
+# costs most of what this saves.
+def _setters(cls: type) -> list:
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+_new = object.__new__
+_start_line, _start_col, _end_line, _end_col = _setters(SrcSpan)
+_symbol_name, _symbol_span = _setters(SymbolRef)
+_arg_value, _arg_name = _setters(Arg)
+_call_callee, _call_args, _call_span = _setters(Call)
+
+
+def unchecked_span(start_line: int, start_col: int, end_line: int, end_col: int) -> SrcSpan:
+    span = _new(SrcSpan)
+    _start_line(span, start_line)
+    _start_col(span, start_col)
+    _end_line(span, end_line)
+    _end_col(span, end_col)
+    return span
+
+
+def unchecked_symbol(name: str, span: SrcSpan) -> SymbolRef:
+    symbol = _new(SymbolRef)
+    _symbol_name(symbol, name)
+    _symbol_span(symbol, span)
+    return symbol
+
+
+def unchecked_arg(value: Expr, name: Optional[str] = None) -> Arg:
+    arg = _new(Arg)
+    _arg_value(arg, value)
+    _arg_name(arg, name)
+    return arg
+
+
+def unchecked_call(callee: Expr, args: tuple[Arg, ...], span: SrcSpan) -> Call:
+    node = _new(Call)
+    _call_callee(node, callee)
+    _call_args(node, args)
+    _call_span(node, span)
+    return node
+
+
 def call(name: str, *args: Union[Expr, Arg], **named: Expr) -> Call:
     """Convenience constructor used by tests: call("+", a, b)."""
     built = [a if isinstance(a, Arg) else Arg(a) for a in args]
