@@ -287,6 +287,8 @@ def cmd_stats(args) -> int:
         _check_header(header, [args.group, "n"])
         out = top_n_by_group(rows, group_col=args.group, n=args.n)
         columns = list(rows[0]) if rows else header or [args.group, "n"]
+    if args.format == "csv":  # a JSONL value keeps its JSON spelling: true, false, null
+        out = [{c: v if isinstance(v, str) else json.dumps(v) for c, v in row.items()} for row in out]
     _write_rows(([row.get(c, "") for c in columns] for row in out), columns, args)
     return EXIT_OK
 

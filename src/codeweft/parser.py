@@ -11,6 +11,7 @@ the following lines. Semicolons separate expressions on a single line.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import NoReturn, Sequence
@@ -103,9 +104,9 @@ _CONSTANTS = {
 class ProgramResult:
     """Top-level expressions plus per-expression syntax errors.
 
-    `incomplete` is True when the first error is one that more input could
-    repair: the text ends mid-expression, inside a string, or inside a
-    backtick name.
+    `incomplete` is True when more input could repair the text: its first
+    error is an end of input mid-expression, or the text ends inside a
+    string or a backtick name.
     """
 
     exprs: list[tuple[Expr, SrcSpan]] = field(default_factory=list)
@@ -434,16 +435,27 @@ def parse_program(text: str) -> ProgramResult:
     """Parse every top-level expression, recovering at expression boundaries."""
     # errors are kept without their traceback, whose frames would hold the
     # result and make every failed parse a reference cycle
-    result = ProgramResult()
     try:
         tokens = lexer.tokenize(text, keep_newlines=True)
     except SourceError as err:
+        # the expressions before a lexer error keep their records: parse the
+        # tokens scanned before it, less the expression it cut off
+        tokens = lexer.Tokens()
+        with contextlib.suppress(SourceError):
+            lexer.scan(tokens, text, 0, keep_newlines=True)
+        result = _parse_tokens(tokens, text)
+        last = result.exprs[-1][1] if result.exprs else None
+        if result.errors and isinstance(result.errors[-1], IncompleteInput):
+            result.errors.pop()
+        elif last and (last.end_line, last.end_col) == (tokens.end_lines[-1], tokens.end_cols[-1]):
+            result.exprs.pop()  # no separator ended it before the error
         result.errors.append(err.with_traceback(None))
         # a backtick name cannot cross a line: only one cut by the end of the
         # text can still be closed
         result.incomplete = isinstance(err, UnterminatedString) or (
             isinstance(err, UnterminatedBacktick) and err.span.end_line > text.count("\n")
         )
+        result._parser = None
         return result
     return _parse_tokens(tokens, text)
 

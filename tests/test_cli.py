@@ -253,6 +253,15 @@ def test_partial_parse_error_exit(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_lexer_error_keeps_the_rows_before_it(capsys, tmp_path):
+    src = tmp_path / "cut.R"
+    src.write_text('x <- 1\ny <- 2\nw <- "unterminated\n')
+    code, out, err = run(capsys, "parse", str(src))
+    assert code == 2
+    assert [r["text"] for r in rows_of_csv(out)] == ["x <- 1", "y <- 2"]
+    assert "unterminated string literal" in err and "line 3" in err
+
+
 def test_stray_else_is_reported_at_the_keyword(capsys, tmp_path):
     src = tmp_path / "else.R"
     src.write_text("x <- 1\nelse y\n")
@@ -467,7 +476,7 @@ def test_corrupt_table_is_data_error(tmp_path, argv, table, message):
 
 @pytest.mark.parametrize(
     "table, expected",
-    [('{"func": "a"}\n{"func": 1}\n', "1,1\na,1\n"), ('{"func": "a"}\n{"func": null}\n', ",1\na,1\n")],
+    [('{"func": "a"}\n{"func": 1}\n', "1,1\na,1\n"), ('{"func": "a"}\n{"func": null}\n', "null,1\na,1\n")],
     ids=["number-and-string", "null-and-string"],
 )
 def test_sorted_counts_order_mixed_json_key_types(tmp_path, table, expected):
@@ -511,8 +520,15 @@ def test_counts_keep_json_keys_of_different_types_apart(capsys, tmp_path):
             ["top", "--group", "g", "--n", "1", "--format", "jsonl"],
             '{"g": 1, "n": 2}\n{"g": true, "n": 1}\n',
         ),
+        # a CSV cell spells the JSON value, not Python's
+        (
+            '{"g": 1, "n": 2}\n{"g": true, "n": 1}\n{"g": false, "n": 1}\n{"g": null, "n": 1}\n'
+            '{"g": 2.5, "n": 1}\n',
+            ["top", "--group", "g", "--n", "1"],
+            "g,n\n1,2\ntrue,1\nfalse,1\nnull,1\n2.5,1\n",
+        ),
     ],
-    ids=["percent-units", "percent-classes", "top-groups"],
+    ids=["percent-units", "percent-classes", "top-groups", "top-groups-csv"],
 )
 def test_percent_and_top_keep_json_keys_of_different_types_apart(capsys, tmp_path, table, argv,
                                                                  expected):

@@ -9,10 +9,12 @@ from codeweft.corpus import CallRecord, recital
 from codeweft.deparse import deparse
 from codeweft.errors import (
     IncompleteInput,
+    InvalidCharacter,
     MultipleExpressions,
     NestingTooDeep,
     RSyntaxError,
     UnterminatedBacktick,
+    UnterminatedString,
 )
 from codeweft.parser import MAX_NESTING, is_complete, parse_expr, parse_program, resume_program
 from codeweft.rast import (
@@ -114,6 +116,25 @@ def test_program_recovers_after_error():
     assert len(result.errors) == 1
     assert len(result.exprs) == 1
     assert result.exprs[0][1].start_line == 2
+
+
+@pytest.mark.parametrize(
+    "text, kept, errors, incomplete",
+    [
+        ('x <- 1\ny <- 2\nw <- "unterminated\n', ["x <- 1", "y <- 2"], [UnterminatedString], True),
+        # the expression a lexer error cuts off goes, whether or not its tokens parse
+        ("x <- 1\ny <- 2\u00b2\nz <- 3\n", ["x <- 1"], [InvalidCharacter], False),
+        ("x <- 1; f(a, \u00b2)", ["x <- 1"], [InvalidCharacter], False),
+        # a syntax error before the lexer error stays, ahead of it
+        ("x <- )\ny <- 1\n`tick", ["y <- 1"], [RSyntaxError, UnterminatedBacktick], True),
+    ],
+    ids=["string", "after-a-complete-operand", "inside-a-call", "after-a-syntax-error"],
+)
+def test_lexer_error_keeps_the_expressions_before_it(text, kept, errors, incomplete):
+    result = parse_program(text)
+    assert [deparse(expr) for expr, _ in result.exprs] == kept
+    assert [type(err) for err in result.errors] == errors
+    assert result.incomplete is incomplete
 
 
 def test_error_mentions_location():

@@ -297,6 +297,45 @@ def test_top_n_matches_naive_cutoff(items, n):
         assert (row in out) == (row["n"] >= cutoff)
 
 
+# --- span invariant -----------------------------------------------------
+
+def _assert_spans_nest(expr, top_span, where):
+    """Every node span is ordered and lies within its parent node's span, and
+    the expression's own span is the one reported for it. The parser builds
+    its spans without SrcSpan's order check, so this test holds the order."""
+    assert expr.span == top_span, where
+    stack = [(expr, None)]
+    while stack:
+        node, parent = stack.pop()
+        if node.span is None:  # only a missing-argument slot goes without a span
+            assert node == SymbolRef(""), where
+            continue
+        start = (node.span.start_line, node.span.start_col)
+        end = (node.span.end_line, node.span.end_col)
+        assert start <= end, (where, node.span)
+        if parent is not None:
+            assert parent[0] <= start and end <= parent[1], (where, node.span, parent)
+        if isinstance(node, Call):
+            stack += [(child, (start, end)) for child in (node.callee, *(a.value for a in node.args))]
+
+
+def test_golden_node_spans_are_ordered_and_nest(parser_goldens):
+    for entry in parser_goldens:
+        result = parse_program(entry["src"])
+        assert result.exprs and not result.errors, entry["src"]
+        for expr, span in result.exprs:
+            _assert_spans_nest(expr, span, entry["src"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_generated_node_spans_are_ordered_and_nest(seed):
+    # deparsed random trees among lines that break off or fail, so recovery runs too
+    text = "\n".join(_session_lines(random.Random(seed)))
+    for expr, span in parse_program(text).exprs:
+        _assert_spans_nest(expr, span, text)
+
+
 # --- lexer totality -----------------------------------------------------
 
 # R-ish characters plus the pieces of escapes, a non-ASCII digit-like

@@ -40,6 +40,22 @@ INSTANCES = [
     CallRecord("a.R", SymbolRef("x"), 1),
 ]
 
+# the parser builds these through rast's unchecked constructors; each is
+# paired with the same value from its public constructor
+PARSED = parse_expr("f(x, n = y)")
+PARSED_AND_PUBLIC = [
+    (PARSED.span, SrcSpan(1, 1, 1, 11)),
+    (PARSED.callee, SymbolRef("f", SrcSpan(1, 1, 1, 1))),
+    (PARSED.args[1], Arg(SymbolRef("y", SrcSpan(1, 10, 1, 10)), "n")),
+    (PARSED, Call(
+        SymbolRef("f", SrcSpan(1, 1, 1, 1)),
+        (Arg(SymbolRef("x", SrcSpan(1, 3, 1, 3))), Arg(SymbolRef("y", SrcSpan(1, 10, 1, 10)), "n")),
+        SrcSpan(1, 1, 1, 11),
+    )),
+]
+INSTANCES += [pytest.param(parsed, id=f"parsed-{type(parsed).__name__}")
+              for parsed, _ in PARSED_AND_PUBLIC]
+
 
 @pytest.mark.parametrize("obj", INSTANCES, ids=lambda obj: type(obj).__name__)
 def test_instances_are_slotted_and_frozen(obj):
@@ -47,6 +63,15 @@ def test_instances_are_slotted_and_frozen(obj):
     field = dataclasses.fields(obj)[0].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, field, getattr(obj, field))
+
+
+@pytest.mark.parametrize("parsed, public", PARSED_AND_PUBLIC,
+                         ids=[type(parsed).__name__ for parsed, _ in PARSED_AND_PUBLIC])
+def test_parser_built_objects_match_their_public_constructor(parsed, public):
+    assert type(parsed) is type(public)
+    assert parsed == public
+    assert hash(parsed) == hash(public)
+    assert repr(parsed) == repr(public)
 
 
 def test_span_rejects_a_backwards_region():
