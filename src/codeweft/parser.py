@@ -443,6 +443,7 @@ def parse_program(text: str) -> ProgramResult:
         tokens = lexer.Tokens()
         with contextlib.suppress(SourceError):
             lexer.scan(tokens, text, 0, keep_newlines=True)
+        tokens.line = err.span.start_line  # the scan stopped there: EOF sits on its line
         result = _parse_tokens(tokens, text)
         last = result.exprs[-1][1] if result.exprs else None
         if result.errors and isinstance(result.errors[-1], IncompleteInput):
@@ -455,7 +456,7 @@ def parse_program(text: str) -> ProgramResult:
         result.incomplete = isinstance(err, UnterminatedString) or (
             isinstance(err, UnterminatedBacktick) and err.span.end_line > text.count("\n")
         )
-        result._parser = None
+        result._parser = None  # its tokens stop at the error, so it is never resumed
         return result
     return _parse_tokens(tokens, text)
 

@@ -121,19 +121,23 @@ def test_program_recovers_after_error():
 @pytest.mark.parametrize(
     "text, kept, errors, incomplete",
     [
-        ('x <- 1\ny <- 2\nw <- "unterminated\n', ["x <- 1", "y <- 2"], [UnterminatedString], True),
+        ('x <- 1\ny <- 2\nw <- "unterminated\n', ["x <- 1", "y <- 2"], [(UnterminatedString, 3)],
+         True),
         # the expression a lexer error cuts off goes, whether or not its tokens parse
-        ("x <- 1\ny <- 2\u00b2\nz <- 3\n", ["x <- 1"], [InvalidCharacter], False),
-        ("x <- 1; f(a, \u00b2)", ["x <- 1"], [InvalidCharacter], False),
-        # a syntax error before the lexer error stays, ahead of it
-        ("x <- )\ny <- 1\n`tick", ["y <- 1"], [RSyntaxError, UnterminatedBacktick], True),
+        ("x <- 1\ny <- 2\u00b2\nz <- 3\n", ["x <- 1"], [(InvalidCharacter, 2)], False),
+        ("x <- 1; f(a, \u00b2)", ["x <- 1"], [(InvalidCharacter, 1)], False),
+        # an error before the lexer error stays, ahead of it, on its own line
+        ("x <- )\ny <- 1\n`tick", ["y <- 1"], [(RSyntaxError, 1), (UnterminatedBacktick, 3)], True),
+        ("x <- 1\n" + "(" * 101 + "\u00b2", ["x <- 1"], [(NestingTooDeep, 2), (InvalidCharacter, 2)],
+         False),
     ],
-    ids=["string", "after-a-complete-operand", "inside-a-call", "after-a-syntax-error"],
+    ids=["string", "after-a-complete-operand", "inside-a-call", "after-a-syntax-error",
+         "after-nesting-too-deep"],
 )
 def test_lexer_error_keeps_the_expressions_before_it(text, kept, errors, incomplete):
     result = parse_program(text)
     assert [deparse(expr) for expr, _ in result.exprs] == kept
-    assert [type(err) for err in result.errors] == errors
+    assert [(type(err), err.span.start_line) for err in result.errors] == errors
     assert result.incomplete is incomplete
 
 
