@@ -3,7 +3,8 @@
 Comments are dropped. Newlines are emitted as tokens only where they can
 terminate an expression: inside `(`, `[` and `[[` groups they are
 swallowed, inside `{` blocks they separate statements, mirroring the R
-grammar's newline handling.
+grammar's newline handling. A kept newline's value says which of the two
+it is: True inside a `{` block, where `else` may start a line.
 
 The scan is one pass over a single compiled alternation, dispatched on
 the name of the alternative that matched.
@@ -86,10 +87,12 @@ class Tokens:
     """The tokens of one text, held in parallel lists.
 
     Token i has kind `kinds[i]`, text `texts[i]` and decoded value
-    `values[i]`; it runs from line `lines[i]`, column `cols[i]` to line
-    `end_lines[i]`, column `end_cols[i]`, the bounds of its span. `len()`
-    is the token count; the parser reads the lists and builds a span only
-    for what it keeps. `stack`, `line` and `line_start` are where `scan` stopped.
+    `values[i]` (for a NEWLINE, whether a `{` block is open); it runs from
+    line `lines[i]`, column `cols[i]` to line `end_lines[i]`, column
+    `end_cols[i]`, the bounds of its span. `len()` is the token count; the
+    parser reads the lists and builds a span only for what it keeps. `stack`,
+    `line` and `line_start` are where `scan` stopped: for a scan a lexer
+    error cut, at the start of the token that raised.
     """
 
     __slots__ = ("kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols",
@@ -181,50 +184,53 @@ def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
             message = f"{'invalid' if code[0] in 'xuU' else 'unknown'} escape \\{code}"
         raise InvalidCharacter(message, span(m.start(), m.start("body") + esc.end()))
 
-    for m in _TOKEN_RE.finditer(text, pos):
-        kind = m.lastgroup
-        if kind == "skip":
-            continue
-        start, end = m.span()
-        raw = m[0]
-        value = None
-        if kind == "name":
-            if raw in KEYWORDS:
-                kind = KEYWORD
-        elif kind == "op":
-            if raw in _OPENERS:
-                stack.extend(_OPENERS[raw])
-            elif raw in _CLOSERS and stack:
-                stack.pop()
-        elif kind == "newline":
-            if not keep_newlines or (stack and not stack[-1]):
-                line, line_start = line + 1, end
+    try:
+        for m in _TOKEN_RE.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "skip":
                 continue
-        elif kind == "num":
-            value = _number(raw)
-        elif kind == "string":
-            value = _ESCAPE_RE.sub(unescape, m["body"])
-            if m["close"] is None:
-                raise UnterminatedString("unterminated string literal", span(start, end))
-        elif kind == "special":
-            if len(raw) < 2 or raw[-1] != "%":
-                raise InvalidCharacter("unterminated %..% operator", span(start, end))
-        elif kind == "backtick":
-            if len(raw) < 2 or raw[-1] != "`":
-                raise UnterminatedBacktick("unterminated backtick name", span(start, end))
-            kind, raw = NAME, raw[1:-1]
-        elif kind == "bad":
-            raise InvalidCharacter(f"invalid character {raw!r}", span(start, end))
-        kinds.append(kind)
-        texts.append(raw)
-        values.append(value)
-        lines.append(line)
-        cols.append(start - line_start + 1)
-        if kind == NEWLINE or kind == STRING:  # the only tokens that can hold a line break
-            breaks = raw.count("\n")
-            if breaks:
-                line, line_start = line + breaks, text.rindex("\n", start, end) + 1
-        # a token ending in a line break ends at column 0 of the next line
-        end_lines.append(line)
-        end_cols.append(end - line_start)
-    tokens.line, tokens.line_start = line, line_start
+            start, end = m.span()
+            raw = m[0]
+            value = None
+            if kind == "name":
+                if raw in KEYWORDS:
+                    kind = KEYWORD
+            elif kind == "op":
+                if raw in _OPENERS:
+                    stack.extend(_OPENERS[raw])
+                elif raw in _CLOSERS and stack:
+                    stack.pop()
+            elif kind == "newline":
+                if not keep_newlines or (stack and not stack[-1]):
+                    line, line_start = line + 1, end
+                    continue
+                value = bool(stack)  # kept, so either inside a `{` block or at top level
+            elif kind == "num":
+                value = _number(raw)
+            elif kind == "string":
+                value = _ESCAPE_RE.sub(unescape, m["body"])
+                if m["close"] is None:
+                    raise UnterminatedString("unterminated string literal", span(start, end))
+            elif kind == "special":
+                if len(raw) < 2 or raw[-1] != "%":
+                    raise InvalidCharacter("unterminated %..% operator", span(start, end))
+            elif kind == "backtick":
+                if len(raw) < 2 or raw[-1] != "`":
+                    raise UnterminatedBacktick("unterminated backtick name", span(start, end))
+                kind, raw = NAME, raw[1:-1]
+            elif kind == "bad":
+                raise InvalidCharacter(f"invalid character {raw!r}", span(start, end))
+            kinds.append(kind)
+            texts.append(raw)
+            values.append(value)
+            lines.append(line)
+            cols.append(start - line_start + 1)
+            if kind == NEWLINE or kind == STRING:  # the only tokens that can hold a line break
+                breaks = raw.count("\n")
+                if breaks:
+                    line, line_start = line + breaks, text.rindex("\n", start, end) + 1
+            # a token ending in a line break ends at column 0 of the next line
+            end_lines.append(line)
+            end_cols.append(end - line_start)
+    finally:  # a scan cut by an error stops on the error's line
+        tokens.line, tokens.line_start = line, line_start

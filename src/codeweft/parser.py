@@ -105,8 +105,10 @@ class ProgramResult:
     """Top-level expressions plus per-expression syntax errors.
 
     `incomplete` is True when more input could repair the text: its first
-    error is an end of input mid-expression, or the text ends inside a
-    string or a backtick name.
+    error is an end of input mid-expression, or a string or backtick name
+    cut by the end of the text. A lexer error ends the tokens, and the
+    expression it cuts off fails with it; the expressions before it keep
+    their records.
     """
 
     exprs: list[tuple[Expr, SrcSpan]] = field(default_factory=list)
@@ -128,10 +130,10 @@ class _Parser:
     and the lexer's error spans keep the checked one.
     """
 
-    __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "brace_depth", "depth",
-                 "lists")
+    __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "depth", "lists",
+                 "cut")
 
-    def __init__(self, tokens: Tokens, text: str):
+    def __init__(self, tokens: Tokens, text: str, cut: SourceError | None = None):
         self.text = text
         self.tokens = tokens
         # a final EOF token stops every scan
@@ -140,11 +142,12 @@ class _Parser:
         self.values = tokens.values
         self.span = tokens.span
         self.pos = 0
-        self.brace_depth = 0
         self.depth = 0  # parse_expr calls open
         # lists open where the input ran out, innermost first: (first token of the
-        # item before the current one, closer, brace_depth and depth at the opener)
+        # item before the current one, closer, depth at the opener)
         self.lists: list[tuple] = []
+        # the lexer error that ended the tokens, until the parse raises it at their end
+        self.cut = cut
 
     # --- token plumbing -------------------------------------------------
 
@@ -181,7 +184,8 @@ class _Parser:
 
     def fail(self, expected: str) -> NoReturn:
         if self.kinds[self.pos] == EOF:
-            raise IncompleteInput("unexpected end of input", self.here(), expected)
+            cut, self.cut = self.cut, None
+            raise cut or IncompleteInput("unexpected end of input", self.here(), expected)
         raise RSyntaxError(f"unexpected {self.texts[self.pos]!r}", self.here(), expected)
 
     def node(self, op: int, args: Sequence[Arg], first: int, name: str | None = None) -> Call:
@@ -263,8 +267,7 @@ class _Parser:
 
     def parse_block(self) -> list[Arg]:
         """The statements after a `{`, through its `}`."""
-        brace_depth, depth, item = self.brace_depth, self.depth, self.pos
-        self.brace_depth += 1
+        depth, item = self.depth, self.pos
         stmts: list[Arg] = []
         try:
             while True:
@@ -276,10 +279,9 @@ class _Parser:
                 if not (self.at(NEWLINE) or self.at(SEMI) or self.at(OP, "}")):
                     self.fail("'}', newline or ';'")
         except IncompleteInput:
-            self.lists.append((prev, "}", brace_depth, depth))
+            self.lists.append((prev, "}", depth))
             raise
         self.advance()
-        self.brace_depth -= 1
         return stmts
 
     def parse_member_name(self) -> Expr:
@@ -313,7 +315,7 @@ class _Parser:
         args: list[Arg] = []
         if self.at(OP, closer):
             return args
-        brace_depth, depth, item = self.brace_depth, self.depth, self.pos
+        depth, item = self.depth, self.pos
         try:
             while True:
                 prev, item = item, self.pos
@@ -325,7 +327,7 @@ class _Parser:
                     return args
                 self.advance()
         except IncompleteInput:
-            self.lists.append((prev, closer, brace_depth, depth))
+            self.lists.append((prev, closer, depth))
             raise
 
     def parse_one_arg(self) -> Arg:
@@ -394,16 +396,14 @@ class _Parser:
             self.advance()
 
     def _else_follows(self) -> bool:
-        if self.at(KEYWORD, "else"):
+        # `else` may start a new line only inside a braced block, where the
+        # lexer gives each newline the value True
+        i = self.pos
+        while self.kinds[i] == NEWLINE and self.values[i]:
+            i += 1
+        if self.kinds[i] == KEYWORD and self.texts[i] == "else":
+            self.pos = i
             return True
-        # `else` may start a new line only inside a braced block
-        if self.brace_depth > 0:
-            i = self.pos
-            while self.kinds[i] == NEWLINE:
-                i += 1
-            if self.kinds[i] == KEYWORD and self.texts[i] == "else":
-                self.pos = i
-                return True
         return False
 
     # --- program level --------------------------------------------------
@@ -411,7 +411,8 @@ class _Parser:
     def parse_top_level(self) -> tuple[Expr, SrcSpan]:
         self.depth = 0  # an error may have left parse_expr calls unclosed
         expr = self.parse_expr(0)
-        if not (self.at(NEWLINE) or self.at(SEMI) or self.at(EOF)):
+        # the end of tokens a lexer error cut ends no expression
+        if not (self.at(NEWLINE) or self.at(SEMI) or self.at(EOF) and self.cut is None):
             self.fail("newline, ';' or end of input")
         return expr, expr.span  # type: ignore[return-value]
 
@@ -424,8 +425,6 @@ class _Parser:
             if kind == OP and text in ("(", "[", "[[", "{"):
                 depth += 2 if text == "[[" else 1
             elif kind == OP and text in (")", "]", "}"):
-                if not depth and text == "}":  # it closes a block the error left open
-                    self.brace_depth = max(0, self.brace_depth - 1)
                 depth = max(0, depth - 1)
             elif kind in (NEWLINE, SEMI) and depth == 0:
                 return
@@ -433,48 +432,38 @@ class _Parser:
 
 def parse_program(text: str) -> ProgramResult:
     """Parse every top-level expression, recovering at expression boundaries."""
-    # errors are kept without their traceback, whose frames would hold the
-    # result and make every failed parse a reference cycle
     try:
-        tokens = lexer.tokenize(text, keep_newlines=True)
+        tokens, cut = lexer.tokenize(text, keep_newlines=True), None
     except SourceError as err:
-        # the expressions before a lexer error keep their records: parse the
-        # tokens scanned before it, less the expression it cut off
-        tokens = lexer.Tokens()
+        # the tokens before the error, scanned again: `tokenize` stays the one hot call
+        tokens, cut = lexer.Tokens(), err
         with contextlib.suppress(SourceError):
             lexer.scan(tokens, text, 0, keep_newlines=True)
-        tokens.line = err.span.start_line  # the scan stopped there: EOF sits on its line
-        result = _parse_tokens(tokens, text)
-        last = result.exprs[-1][1] if result.exprs else None
-        if result.errors and isinstance(result.errors[-1], IncompleteInput):
-            result.errors.pop()
-        elif last and (last.end_line, last.end_col) == (tokens.end_lines[-1], tokens.end_cols[-1]):
-            result.exprs.pop()  # no separator ended it before the error
-        result.errors.append(err.with_traceback(None))
-        # a backtick name cannot cross a line: only one cut by the end of the
-        # text can still be closed
-        result.incomplete = isinstance(err, UnterminatedString) or (
-            isinstance(err, UnterminatedBacktick) and err.span.end_line > text.count("\n")
-        )
-        result._parser = None  # its tokens stop at the error, so it is never resumed
-        return result
-    return _parse_tokens(tokens, text)
+    return _parse_tokens(tokens, text, cut)
 
 
-def _parse_tokens(tokens: Tokens, text: str) -> ProgramResult:
+def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None = None) -> ProgramResult:
+    """Parse `tokens`, which `cut`, if given, ended before the end of `text`."""
     result = ProgramResult()
-    parser = _Parser(tokens, text)
+    parser = _Parser(tokens, text, cut)
     while True:
         parser.skip_separators()
-        if parser.at(EOF):
+        if parser.at(EOF) and parser.cut is None:
             break
         try:
             result.exprs.append(parser.parse_top_level())
         except SourceError as err:
+            # errors are kept without their traceback, whose frames would hold
+            # the result and make every failed parse a reference cycle
             result.errors.append(err.with_traceback(None))
             parser.resync()
-    if result.errors and isinstance(result.errors[0], IncompleteInput):
+    first = result.errors[0] if result.errors else None
+    if isinstance(first, IncompleteInput):
         result.incomplete, result._parser = True, parser  # its one error, at the end of the text
+    elif first is cut and isinstance(cut, (UnterminatedString, UnterminatedBacktick)):
+        # a backtick name cannot cross a line: only one cut by the end of the
+        # text can still be closed, as a string always can
+        result.incomplete = cut.span.end_line > text.count("\n")
     return result
 
 
@@ -487,16 +476,16 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     parser, result._parser = result._parser, None
     if not (parser and text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
         return parse_program(text)
-    tokens, n, lists = parser.tokens, len(parser.tokens), parser.lists
+    tokens, n, lists, cut = parser.tokens, len(parser.tokens), parser.lists, None
     try:
         lexer.scan(tokens, text, len(parser.text), keep_newlines=True)
-    except SourceError:
-        return parse_program(text)
+    except SourceError as err:
+        cut = err
     parser.kinds[n:] = [*tokens.kinds[n:], EOF]
     parser.texts[n:] = [*tokens.texts[n:], ""]
-    parser.text = text
-    for i, (pos, closer, brace_depth, depth) in enumerate(lists):
-        parser.pos, parser.brace_depth, parser.depth, parser.lists = pos, brace_depth, depth, []
+    parser.text, parser.cut = text, cut
+    for i, (pos, closer, depth) in enumerate(lists):
+        parser.pos, parser.depth, parser.lists = pos, depth, []
         try:
             if closer == "}":
                 parser.parse_block()
@@ -507,7 +496,7 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
             return ProgramResult(list(result.exprs), [err.with_traceback(None)], True, parser)
         except SourceError:
             break
-    return _parse_tokens(tokens, text)
+    return _parse_tokens(tokens, text, cut)
 
 
 def parse_expr(text: str) -> Expr:

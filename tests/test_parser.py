@@ -126,8 +126,10 @@ def test_program_recovers_after_error():
         # the expression a lexer error cuts off goes, whether or not its tokens parse
         ("x <- 1\ny <- 2\u00b2\nz <- 3\n", ["x <- 1"], [(InvalidCharacter, 2)], False),
         ("x <- 1; f(a, \u00b2)", ["x <- 1"], [(InvalidCharacter, 1)], False),
-        # an error before the lexer error stays, ahead of it, on its own line
-        ("x <- )\ny <- 1\n`tick", ["y <- 1"], [(RSyntaxError, 1), (UnterminatedBacktick, 3)], True),
+        # an error before the lexer error stays, ahead of it, on its own line, and
+        # decides `incomplete`: no more input repairs it
+        ("x <- )\ny <- 1\n`tick", ["y <- 1"], [(RSyntaxError, 1), (UnterminatedBacktick, 3)],
+         False),
         ("x <- 1\n" + "(" * 101 + "\u00b2", ["x <- 1"], [(NestingTooDeep, 2), (InvalidCharacter, 2)],
          False),
     ],
