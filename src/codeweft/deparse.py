@@ -2,9 +2,10 @@
 
 Output uses canonical spacing (spaces around loose binary operators, none
 around `^ : $ @ ::`), double-quoted strings, and backticks only where a
-name is not syntactic. Parentheses are added only when a synthesised tree
-could not otherwise re-parse to the same shape; trees that came from the
-parser never need them because explicit parens are `(` call nodes.
+name is not syntactic. Parentheses are added where a tree could not
+otherwise re-parse to the same shape (explicit parens are `(` call nodes),
+and more often than needed: around a keyword form right of an operator
+and a call left of `::`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import re
 
 from .lexer import KEYWORDS
 from .parser import _CONSTANTS, _INFIX, _NS_BP, _POSTFIX_BP, _SPECIAL_BP, _UNARY_BP
-from .rast import Arg, Expr, LogicalLit, NullLit, NumLit, StringLit, SymbolRef
+from .rast import Arg, Call, Expr, LogicalLit, NullLit, NumLit, StringLit, SymbolRef
 
 _TIGHT_OPS = {"^", ":"}
 # names a symbol can only have in backticks
@@ -135,19 +136,12 @@ def _form(expr: Expr) -> tuple[str, int]:
         inner = ", ".join(_dp_arg(a) for a in args[1:])
         close = "]" if name == "[" else "]]"
         return f"{_dp(args[0].value, _POSTFIX_BP)}{name}{inner}{close}", _POSTFIX_BP
-    if n == 2 and positional:
-        lhs, rhs = args[0].value, args[1].value
-        if name in ("$", "@", "::", ":::"):
-            bp = _POSTFIX_BP if name in ("$", "@") else _NS_BP
-            return f"{_dp(lhs, bp)}{name}{_form(rhs)[0]}", bp
-        if name is not None and _SPECIAL_RE.match(name):
-            text = f"{_dp(lhs, _SPECIAL_BP)} {name} {_dp(rhs, _SPECIAL_BP + 1, True)}"
-            return text, _SPECIAL_BP
-        if name in _INFIX:
-            bp, right = _INFIX[name]
-            sep = "" if name in _TIGHT_OPS else " "
-            text = f"{_dp(lhs, bp + right)}{sep}{name}{sep}{_dp(rhs, bp + (not right), True)}"
-            return text, bp
+    if n == 2 and positional and name in ("$", "@", "::", ":::"):
+        bp = _POSTFIX_BP if name in ("$", "@") else _NS_BP
+        return f"{_dp(args[0].value, bp)}{name}{_form(args[1].value)[0]}", bp
+    power = _binary_power(expr)
+    if power:
+        return _binary_text(expr, *power), power[0]
     if name in _UNARY_BP and n == 1 and args[0].name is None:
         bp = _UNARY_BP[name]
         # the operand of ~ or ? absorbs the matching binary operator on
@@ -155,3 +149,32 @@ def _form(expr: Expr) -> tuple[str, int]:
         return name + _dp(args[0].value, bp, True), bp - (name in ("~", "?"))
     callee = _dp(expr.callee, _POSTFIX_BP)
     return f"{callee}({', '.join(_dp_arg(a) for a in args)})", _POSTFIX_BP
+
+
+def _binary_power(expr: Expr) -> tuple[int, bool] | None:
+    """(binding power, right-associative) of an infix or `%op%` call with
+    two positional arguments; None for any other form."""
+    if not isinstance(expr, Call) or len(expr.args) != 2 or expr.args[0].name or expr.args[1].name:
+        return None
+    name = expr.callee_name()
+    if name and _SPECIAL_RE.match(name):
+        return _SPECIAL_BP, False
+    return _INFIX.get(name)  # type: ignore[arg-type]
+
+
+def _binary_text(expr: Call, bp: int, right: bool) -> str:
+    """The text of a binary operator call. A left-associative chain (a
+    `%>%` pipeline, a long sum) nests only leftwards, to any length, so
+    its left spine is walked in a loop; operands and parenthesised forms
+    recurse, and the parser's nesting cap bounds them."""
+    parts = []
+    while True:
+        name = expr.callee_name()
+        sep = "" if name in _TIGHT_OPS else " "
+        parts.append(f"{sep}{name}{sep}{_dp(expr.args[1].value, bp + (not right), True)}")
+        lhs, required = expr.args[0].value, bp + right
+        power = _binary_power(lhs)
+        if power is None or power[0] < required:  # not on the spine: printed as an operand
+            parts.append(_dp(lhs, required))
+            return "".join(reversed(parts))
+        expr, (bp, right) = lhs, power  # type: ignore[assignment]

@@ -213,6 +213,43 @@ def test_classify_ten_thousand_stage_pipe(tmp_path):
     assert rows_of_csv(proc.stdout)[0]["func"] == "%>%"
 
 
+def test_parse_of_long_chains_keeps_the_rows_after_them(tmp_path):
+    pipe, total = tmp_path / "pipe.R", tmp_path / "sum.R"
+    pipe.write_text("x" + " %>% f()" * 10_000 + "\n")
+    total.write_text("1" + " + 1" * 3_000 + "\n")
+    ok = tmp_path / "ok.R"
+    ok.write_text("f(1)\n")
+    proc = run_process("-m", "codeweft.cli", "parse", str(pipe), str(total), str(ok))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    rows = rows_of_csv(proc.stdout)
+    # a chain prints as its source
+    assert [(r["file"], r["text"]) for r in rows] == [
+        (str(path), path.read_text().strip()) for path in (pipe, total, ok)
+    ]
+
+
+def test_unnest_of_a_long_chain(tmp_path):
+    # one row per call, each with its deparsed arguments: the output grows
+    # with the square of the chain's length
+    source = tmp_path / "chain.R"
+    source.write_text("x" + " %>% f()" * 1_000 + "\n")
+    proc = run_process("-m", "codeweft.cli", "unnest", str(source))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+    assert [r["func"] for r in rows_of_csv(proc.stdout)] == ["%>%"] * 1_000 + ["f"] * 1_000
+
+
+@pytest.mark.xfail(strict=True, reason="json.dumps of a long chain's tree passes the C encoder's "
+                   "nesting limit; --json-ast needs a nesting-free form for chains")
+def test_json_ast_of_a_long_chain(tmp_path):
+    source = tmp_path / "chain.R"
+    source.write_text("x" + " %>% f()" * 600 + "\n")
+    proc = run_process("-m", "codeweft.cli", "parse", "--json-ast", str(source))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "Traceback" not in proc.stderr
+
+
 def test_record_and_table(capsys, tmp_path, monkeypatch):
     log = tmp_path / "log.jsonl"
     monkeypatch.setattr(

@@ -104,6 +104,16 @@ def test_newlines_kept_inside_braces():
     ]
 
 
+@pytest.mark.parametrize(
+    "text, values",
+    [("x\ny\n", [False, False]), ("{\nx\n}", [True, True]), ("f({\nx\n})\ny", [True, True, False])],
+    ids=["top-level", "block", "block-inside-call"],
+)
+def test_newline_value_says_whether_a_block_is_open(text, values):
+    tokens = tokenize(text, keep_newlines=True)
+    assert [v for kind, v in zip(tokens.kinds, tokens.values) if kind == "newline"] == values
+
+
 def test_keywords():
     assert kinds("if else for while repeat function break next in") == ["keyword"] * 9
     # keyword-prefixed names stay names

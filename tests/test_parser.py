@@ -194,6 +194,7 @@ def test_is_complete(text, complete):
     [
         # the first error decides, even when the text ends mid-expression
         ("x <- )\nf(", RSyntaxError),
+        ('x <- )\n"open', RSyntaxError),
         # a backtick name cut by a line break can no longer be closed
         ("`abc\nx", UnterminatedBacktick),
     ],
@@ -216,12 +217,24 @@ def test_stray_else_or_in_is_an_error_at_the_keyword(text, keyword, col):
     assert (exc.value.span.start_line, exc.value.span.start_col) == (1, col)
 
 
+def line_by_line(text):
+    """`text` parsed a line at a time, as `record` does: an incomplete result resumes."""
+    lines = text.split("\n")
+    result = parse_program(lines[0])
+    for i in range(2, len(lines) + 1):
+        result = resume_program(result, "\n".join(lines[:i]))
+    return result
+
+
 @pytest.mark.parametrize(
     "text",
-    ["\n".join(f"x{i} <- f({i})" for i in range(200)) + "\ny <- )\n", "x <- 1\ny <- '\\q'\n"],
-    ids=["syntax-error", "lexer-error"],
+    ["\n".join(f"x{i} <- f({i})" for i in range(200)) + "\ny <- )\n", "x <- 1\ny <- '\\q'\n",
+     "f(\n1,\n'\\q'\n"],
+    ids=["syntax-error", "lexer-error", "lexer-error-in-a-call"],
 )
-@pytest.mark.parametrize("parse", [parse_program, recital], ids=["parse_program", "recital"])
+@pytest.mark.parametrize(
+    "parse", [parse_program, recital, line_by_line], ids=["parse_program", "recital", "resumed"]
+)
 def test_failed_parse_leaves_no_reference_cycle(text, parse):
     # a stored error that kept its traceback would hold the parser's frames,
     # and through them the result, so only the cyclic collector could free it
@@ -261,6 +274,33 @@ def test_recovery_leaves_a_block_its_error_closed(text, exprs, errors):
     result = parse_program(text)
     assert [deparse(e) for e, _ in result.exprs] == exprs
     assert [(e.span.start_line, e.span.start_col) for e in result.errors] == errors
+
+
+@pytest.mark.parametrize(
+    "text, exprs, errors",
+    [
+        ("f({\n if (a) b\n else c\n})", ["f({\n    if (a) b else c\n})"], []),
+        # a closed block leaves the `if` at top level, where its line ends it
+        ("{\n}\nif (a) b\nelse c\n", ["{\n}", "if (a) b"], [(4, 1)]),
+        # the lexer's stack decides: a stray `]` closes the `{`, so the `else` is stray too
+        ("f <- function(a) {\n]\nif (a) b\nelse c\n}", ["if (a) b"], [(2, 1), (4, 1), (5, 1)]),
+    ],
+    ids=["block-inside-call", "after-a-closed-block", "after-a-stray-closer"],
+)
+def test_else_on_its_own_line_joins_only_inside_a_block(text, exprs, errors):
+    result = parse_program(text)
+    assert [deparse(e) for e, _ in result.exprs] == exprs
+    assert [(e.span.start_line, e.span.start_col) for e in result.errors] == errors
+
+
+def test_else_on_its_own_line_joins_inside_a_resumed_block():
+    lines = ["f({", " if (a) b", "", " else c", "})"]
+    result = parse_program(lines[0])
+    for i in range(2, len(lines) + 1):
+        assert result.incomplete
+        result = resume_program(result, "\n".join(lines[:i]))
+    assert [deparse(e) for e, _ in result.exprs] == ["f({\n    if (a) b else c\n})"]
+    assert not result.errors
 
 
 def test_non_finite_numbers_dump_as_strict_json():

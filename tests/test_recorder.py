@@ -68,6 +68,13 @@ def test_backtick_cut_by_a_line_break_ends_the_chunk(clock, log):
     assert exprs == [("x <- `abc\ny <- 1", False), ("z <- 2", True)]
 
 
+def test_hard_error_before_an_open_string_is_logged_at_once(clock, log):
+    # R reports the `)` as the line is entered; the string it cuts off waits for nothing
+    events = record(['x <- ) "a', "y <- 1"], clock=clock, log_path=log)
+    exprs = [(e.expr_text, e.meta["parsed"]) for e in events if e.kind == KIND_EXPRESSION]
+    assert exprs == [('x <- ) "a', False), ("y <- 1", True)]
+
+
 def test_stray_else_is_an_event_of_its_own(clock, log):
     # at top level an if ends with its line, so R rejects the else on the next
     events = record(["if (a) b", "else", "y <- 1"], clock=clock, log_path=log)
