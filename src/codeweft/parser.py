@@ -176,9 +176,9 @@ class _Parser:
             self.pos += 1
 
     def here(self) -> SrcSpan:
-        """The span of the current token; EOF sits at column 1 of the last line."""
+        """The span of the current token; EOF sits at column 1 of the line the scan stopped on."""
         i = self.pos
-        if self.kinds[i] == EOF:  # where the scan of the whole text stopped
+        if self.kinds[i] == EOF:
             return SrcSpan(self.tokens.line, 1, self.tokens.line, 1)
         return self.span(i, i)
 

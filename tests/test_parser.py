@@ -294,11 +294,8 @@ def test_else_on_its_own_line_joins_only_inside_a_block(text, exprs, errors):
 
 
 def test_else_on_its_own_line_joins_inside_a_resumed_block():
-    lines = ["f({", " if (a) b", "", " else c", "})"]
-    result = parse_program(lines[0])
-    for i in range(2, len(lines) + 1):
-        assert result.incomplete
-        result = resume_program(result, "\n".join(lines[:i]))
+    # every line before the last leaves the block open, so each one resumes
+    result = line_by_line("f({\n if (a) b\n\n else c\n})")
     assert [deparse(e) for e, _ in result.exprs] == ["f({\n    if (a) b else c\n})"]
     assert not result.errors
 
