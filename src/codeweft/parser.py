@@ -442,7 +442,7 @@ def parse_program(text: str) -> ProgramResult:
     return _parse_tokens(tokens, text, cut)
 
 
-def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None = None) -> ProgramResult:
+def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None) -> ProgramResult:
     """Parse `tokens`, which `cut`, if given, ended before the end of `text`."""
     result = ProgramResult()
     parser = _Parser(tokens, text, cut)
