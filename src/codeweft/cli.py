@@ -14,17 +14,13 @@ import os
 import sys
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import __version__
-from .analyze import class_percentages, count_funcs, top_n_by_group
-from .corpus import ReadResult, _decode, _read_local, fetch_manifest, read_rfiles
-from .deparse import deparse, deparse_arg
 from .errors import CodeweftError, HttpError, IoError, SchemaError, SourceError, UnknownColumn
-from .lexicon import classify, load_classifications, load_stopfuncs, remove_stopfuncs
-from .rast import NullLit, StringLit, to_json
-from .recorder import LOG_COLUMNS, log_table, record, remove_log
-from .unnest import unnest_corpus
+
+if TYPE_CHECKING:  # the layers are imported by the commands that run them, for a fast start
+    from .corpus import ReadResult
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -154,6 +150,7 @@ def _stream(
     order; print its errors; return the worst code: 66 for I/O, else 2."""
     code = EXIT_OK
     if results is None:
+        from .corpus import read_rfiles
         results = (read_rfiles([source]) for source in args.sources)
 
     def rows():
@@ -169,6 +166,9 @@ def _stream(
 
 
 def _expression_rows(json_ast: bool):
+    from .deparse import deparse
+    from .rast import to_json
+
     def rows(records):
         for rec in records:
             row = (rec.file, rec.line, deparse(rec.expr))
@@ -178,6 +178,8 @@ def _expression_rows(json_ast: bool):
 
 
 def _tokens(records, drop_literals: bool):
+    from .rast import NullLit, StringLit
+    from .unnest import unnest_corpus
     if drop_literals:
         records = [r for r in records if not isinstance(r.expr, (StringLit, NullLit))]
     return unnest_corpus(records)
@@ -192,6 +194,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_unnest(args) -> int:
+    from .deparse import deparse_arg
     columns = ["file", "line", "func", "args"] + (["depth"] if args.with_depth else [])
 
     def rows(records):
@@ -203,6 +206,7 @@ def cmd_unnest(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .lexicon import classify, load_classifications, load_stopfuncs, remove_stopfuncs
     lexdir = Path(args.lexicon_path) if args.lexicon_path else None
     stops = args.drop_stopfuncs and load_stopfuncs(lexdir / "stopfuncs.txt" if lexdir else None)
     entries = load_classifications(
@@ -225,6 +229,7 @@ def cmd_classify(args) -> int:
 
 def _read_table(path: str) -> tuple[Optional[list[str]], list[dict]]:
     """The CSV header (None for JSONL or an empty input) and the rows."""
+    from .corpus import _decode, _read_local
     text = _decode(path, sys.stdin.buffer.read()) if path == "-" else _read_local(path)
     if text.lstrip().startswith("{"):
         rows = []
@@ -268,6 +273,7 @@ def _check_header(header: Optional[list[str]], wanted: list[str]) -> None:
 
 
 def cmd_stats(args) -> int:
+    from .analyze import class_percentages, count_funcs, top_n_by_group
     header, rows = _read_table(args.input)
     if args.statistic == "counts":
         keys = [c.strip() for c in args.by.split(",") if c.strip()]
@@ -294,6 +300,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_record(args) -> int:
+    from .recorder import LOG_COLUMNS, log_table, record, remove_log
     if args.remove:
         remove_log(args.log)
         return EXIT_OK
@@ -307,6 +314,7 @@ def cmd_record(args) -> int:
 
 
 def cmd_fetch(args) -> int:
+    from .corpus import fetch_manifest
     result = fetch_manifest(args.manifest, concurrency=args.concurrency)
     return _stream(args, ["file", "line", "text"], _expression_rows(False), [result])
 

@@ -5,12 +5,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import HttpError, IoError
-from .parser import parse_program
-from .rast import Expr
+
+if TYPE_CHECKING:
+    from .rast import Expr
 
 STRING_SOURCE = "<string>"
 
@@ -83,6 +84,7 @@ def _read_local(path: str) -> str:
 
 def parse_source_text(source_id: str, text: str) -> ReadResult:
     """Parse already-fetched text into records under the given source id."""
+    from .parser import parse_program
     result = ReadResult()
     program = parse_program(text)
     for expr, span in program.exprs:

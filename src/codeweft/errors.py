@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .rast import SrcSpan
+if TYPE_CHECKING:
+    from .rast import SrcSpan
 
 
 class CodeweftError(Exception):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform as _platform
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -86,9 +85,10 @@ class SessionEvent:
 
 
 def _boundary_meta(capture_values: bool) -> dict:
+    import platform
     return {
         "version": __version__,
-        "platform": _platform.platform(),
+        "platform": platform.platform(),
         "value_flag": capture_values,
     }
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import codeweft
-from codeweft import cli
+from codeweft import corpus
 from codeweft.cli import main
 
 SRC_DIR = str(Path(codeweft.__file__).resolve().parents[1])
@@ -369,6 +369,42 @@ def test_cli_import_leaves_http_stack_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def loaded_layers(*argv):
+    """The codeweft submodules that a fresh `python -m codeweft.cli ARGV` imports."""
+    proc = run_process("-X", "importtime", "-m", "codeweft.cli", *argv)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    names = (line.rsplit("|", 1)[-1].strip() for line in lines)
+    return {name.split(".", 1)[1] for name in names if name.startswith("codeweft.")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "counts", "--input", "{tmp}/calls.csv"],
+        ["stats", "percent", "--input", "{tmp}/classified.csv"],
+        ["stats", "top", "--input", "{tmp}/counts.csv", "--group", "g"],
+        ["--version"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_stats_and_version_load_no_parse_stack(tmp_path, argv):
+    (tmp_path / "calls.csv").write_text("func\nf\ng\nf\n")
+    (tmp_path / "classified.csv").write_text("id,classification\n1,import\n2,visualization\n")
+    (tmp_path / "counts.csv").write_text("g,n\na,2\nb,1\n")
+    loaded = loaded_layers(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert not loaded & {"parser", "lexer", "rast", "deparse", "recorder", "lexicon"}
+
+
+@pytest.mark.parametrize("command", ["parse", "fetch"])
+def test_parse_and_fetch_load_no_later_layer(tmp_path, example_scripts, command):
+    manifest = tmp_path / "sources.txt"
+    manifest.write_text(f"{example_scripts[0]}\n")
+    loaded = loaded_layers(command, *([str(manifest)] if command == "fetch" else example_scripts))
+    assert {"parser", "deparse"} <= loaded
+    assert not loaded & {"recorder", "lexicon", "analyze"}
+
+
 @pytest.mark.parametrize(
     "argv, table, message",
     [
@@ -619,7 +655,7 @@ def test_malformed_lexicon_csv_is_data_error(tmp_path):
 @pytest.mark.parametrize("command", ["parse", "unnest", "classify"])
 def test_each_source_is_written_before_the_next_is_read(monkeypatch, tmp_path, command):
     events = []
-    read_rfiles = cli.read_rfiles
+    read_rfiles = corpus.read_rfiles
 
     def read(sources):
         events.append(("read", *sources))
@@ -630,7 +666,7 @@ def test_each_source_is_written_before_the_next_is_read(monkeypatch, tmp_path, c
             events.append(("write", text))
             return super().write(text)
 
-    monkeypatch.setattr(cli, "read_rfiles", read)
+    monkeypatch.setattr(corpus, "read_rfiles", read)
     monkeypatch.setattr(sys, "stdout", Out())
     first, second = tmp_path / "a.R", tmp_path / "b.R"
     first.write_text("library(a)\n")

@@ -23,9 +23,10 @@ nesting cap, long operator chains, and N seeded random programs and
 mutations of goldens, examples and random programs. Then come programs
 whose blocks and argument lists stay open across lines, cut after every
 line, and such programs with a hard error on a line inside an open `(`,
-`[` or `{`. Differences are counted by input family and by the first
-section that differs, and the first SHOW are printed. The exit status is 1
-on any difference. Standard library and git only.
+`[` or `{`. Differences are counted by input family and by section (an
+input counts once under each section that differs), and the first SHOW
+are printed, each at its first differing section. The exit status is 1 on
+any difference. Standard library and git only.
 """
 
 from __future__ import annotations
@@ -368,11 +369,11 @@ def main(argv: list[str] | None = None) -> int:
             for (family, _), a, b in zip(inputs, old, new):
                 families[family] += 1
                 a, b = json.loads(a), json.loads(b)
-                section = next((s for s in SECTIONS if a["sections"][s] != b["sections"][s]), None)
-                if section is not None:
+                sections = [s for s in SECTIONS if a["sections"][s] != b["sections"][s]]
+                if sections:
                     differing[family] += 1
-                    by_section[section] += 1
-                    diffs.append((a["i"], section))
+                    by_section.update(sections)
+                    diffs.append((a["i"], sections[0]))
 
         print(f"parse_diff: {args.rev} (old) against the checkout (new), "
               f"{len(inputs):,} inputs, seed {args.seed}")
@@ -383,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {'all':<24}{len(inputs):>9,}{len(inputs) - total:>11,}{total:>11,}")
         if not total:
             return 0
-        print("  first differing section: " + ", ".join(f"{s} {n:,}" for s, n in by_section.items()))
+        print("  inputs differing in each section: "
+              + ", ".join(f"{s} {by_section[s]:,}" for s in SECTIONS if by_section[s]))
         shown = diffs[:SHOW]
         full = dump_both(srcs, inputs_path, tmp, ",".join(str(i) for i, _ in shown))
         old_full, new_full = (
