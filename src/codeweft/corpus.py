@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .errors import HttpError, IoError
+from .frozen import Frozen, setters
 
 if TYPE_CHECKING:
     from .rast import Expr
@@ -18,21 +18,27 @@ STRING_SOURCE = "<string>"
 USER_AGENT = f"codeweft/{__version__}"
 
 
-@dataclass(frozen=True, slots=True)
-class CallRecord:
+class CallRecord(Frozen):
     """One top-level expression with provenance."""
 
-    file: str
-    expr: Expr
-    line: int  # 1-based start line in the original source
+    __slots__ = _compared = ("file", "expr", "line")
+
+    def __init__(self, file: str, expr: Expr, line: int):
+        _file(self, file)
+        _expr(self, expr)
+        _line(self, line)  # 1-based start line in the original source
 
 
-@dataclass
+_file, _expr, _line = setters(CallRecord)
+
+
 class ReadResult:
     """Records plus the side channel of per-source errors."""
 
-    records: list[CallRecord] = field(default_factory=list)
-    errors: list[Exception] = field(default_factory=list)
+    def __init__(self, records: list[CallRecord] | None = None,
+                 errors: list[Exception] | None = None):
+        self.records = [] if records is None else records
+        self.errors = [] if errors is None else errors
 
     def extend(self, other: "ReadResult") -> None:
         self.records.extend(other.records)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -23,6 +22,7 @@ from .errors import (
     UnknownCategory,
     UnknownLexicon,
 )
+from .frozen import Frozen, setters
 from .unnest import FuncToken
 
 CATEGORIES = frozenset(
@@ -49,14 +49,19 @@ SCORE_SUM_TOLERANCE = 0.005
 ENV_LEXICON_PATH = "CODEWEFT_LEXICON_PATH"
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
+class ClassificationEntry(Frozen):
     """One lexicon row: a function's class and its score in one lexicon."""
 
-    func: str
-    classification: str
-    lexicon: str
-    score: float
+    __slots__ = _compared = ("func", "classification", "lexicon", "score")
+
+    def __init__(self, func: str, classification: str, lexicon: str, score: float):
+        _func(self, func)
+        _classification(self, classification)
+        _lexicon(self, lexicon)
+        _score(self, score)
+
+
+_func, _classification, _lexicon, _score = setters(ClassificationEntry)
 
 
 def _data_path(name: str) -> Path:

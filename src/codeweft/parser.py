@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
 from typing import NoReturn, Sequence
 
 from . import lexer
@@ -37,9 +36,6 @@ from .rast import (
     SrcSpan,
     StringLit,
     SymbolRef,
-    unchecked_arg,
-    unchecked_call,
-    unchecked_symbol,
 )
 
 # infix binding powers: name -> (left bp, right-assoc flag)
@@ -100,7 +96,7 @@ _CONSTANTS = {
     "NaN": lambda span: NumLit("NaN", math.nan, span=span),
 }
 
-@dataclass
+
 class ProgramResult:
     """Top-level expressions plus per-expression syntax errors.
 
@@ -111,11 +107,14 @@ class ProgramResult:
     their records.
     """
 
-    exprs: list[tuple[Expr, SrcSpan]] = field(default_factory=list)
-    errors: list[SourceError] = field(default_factory=list)
-    incomplete: bool = False
-    # an incomplete parse stopped at the end of its text, for resume_program
-    _parser: "_Parser | None" = field(default=None, repr=False, compare=False)
+    def __init__(self, exprs: list[tuple[Expr, SrcSpan]] | None = None,
+                 errors: list[SourceError] | None = None, incomplete: bool = False,
+                 parser: _Parser | None = None):
+        self.exprs = [] if exprs is None else exprs
+        self.errors = [] if errors is None else errors
+        self.incomplete = incomplete
+        # an incomplete parse stopped at the end of its text, for resume_program
+        self._parser = parser
 
 
 class _Parser:
@@ -125,9 +124,7 @@ class _Parser:
     node or an error. `node` is the one owner of the span rule: a node runs
     from its first token to the last one consumed, `self.pos - 1` once it
     is parsed. That token is never before the first, so a node span is
-    ordered by construction and may skip `SrcSpan`'s check: node spans and
-    the hot nodes are built by `rast`'s unchecked constructors, while `here`
-    and the lexer's error spans keep the checked one.
+    ordered by construction and always passes `SrcSpan`'s check.
     """
 
     __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "depth", "lists",
@@ -191,8 +188,8 @@ class _Parser:
     def node(self, op: int, args: Sequence[Arg], first: int, name: str | None = None) -> Call:
         """The call of operator or keyword token `op` (called `name` if given),
         spanning token `first` through the last token consumed."""
-        callee = unchecked_symbol(name or self.texts[op], self.span(op, op))
-        return unchecked_call(callee, tuple(args), self.span(first, self.pos - 1))
+        callee = SymbolRef(name or self.texts[op], self.span(op, op))
+        return Call(callee, tuple(args), self.span(first, self.pos - 1))
 
     # --- expressions ----------------------------------------------------
 
@@ -226,7 +223,7 @@ class _Parser:
             else:
                 operand = self.parse_expr(lbp if right else lbp + 1)
             name = _RIGHTWARD.get(text)  # R rewrites rightward assignment
-            lhs, rhs = unchecked_arg(left), unchecked_arg(operand)
+            lhs, rhs = Arg(left), Arg(operand)
             args = (rhs, lhs) if name else (lhs, rhs)
             left = self.node(i, args, first, name)
         self.depth = depth
@@ -248,7 +245,7 @@ class _Parser:
             text = self.texts[i]
             if text in _CONSTANTS and not self.tokens.quoted(i):
                 return _CONSTANTS[text](self.span(i, i))
-            return unchecked_symbol(text, self.span(i, i))
+            return SymbolRef(text, self.span(i, i))
         if kind == KEYWORD:
             return self.parse_keyword()
         text = self.texts[i]
@@ -305,7 +302,7 @@ class _Parser:
         if text == "[[":
             self.expect(OP, "]", what="']]'")
         if text == "(":
-            return unchecked_call(callee, tuple(args), self.span(first, self.pos - 1))
+            return Call(callee, tuple(args), self.span(first, self.pos - 1))
         # an empty subscript keeps R's missing-argument slot: x[] has one
         return self.node(i, [Arg(callee), *(args or [Arg(SymbolRef(""))])], first)
 
@@ -336,8 +333,8 @@ class _Parser:
         if kind in (NAME, STRING) and self.kinds[i + 1] == OP and self.texts[i + 1] == "=":
             self.pos = i + 2
             name = self.texts[i] if kind == NAME else self.values[i]
-            return unchecked_arg(self.parse_body(), name)  # type: ignore[arg-type]
-        return unchecked_arg(self.parse_expr(0))
+            return Arg(self.parse_body(), name)  # type: ignore[arg-type]
+        return Arg(self.parse_expr(0))
 
     # --- keyword constructs --------------------------------------------
 

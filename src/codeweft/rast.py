@@ -14,51 +14,56 @@ spelling they had in the source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
+from .frozen import Frozen, setters
 
-@dataclass(frozen=True, slots=True)
-class SrcSpan:
+
+class SrcSpan(Frozen):
     """1-based, inclusive source region."""
 
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+    __slots__ = _compared = ("start_line", "start_col", "end_line", "end_col")
 
-    def __post_init__(self) -> None:
-        if (self.start_line, self.start_col) > (self.end_line, self.end_col):
+    def __init__(self, start_line: int, start_col: int, end_line: int, end_col: int):
+        _start_line(self, start_line)
+        _start_col(self, start_col)
+        _end_line(self, end_line)
+        _end_col(self, end_col)
+        if start_line > end_line or start_line == end_line and start_col > end_col:
             raise ValueError(f"backwards span: {self}")
 
 
-_NOSPAN = None  # spans are optional on synthesised trees
-
-
-@dataclass(frozen=True, slots=True)
-class NullLit:
+class NullLit(Frozen):
     """R's NULL."""
 
-    span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
+    __slots__ = ("span",)
+
+    def __init__(self, span: Optional[SrcSpan] = None):
+        _null_span(self, span)
 
 
-@dataclass(frozen=True, slots=True)
-class LogicalLit:
+class LogicalLit(Frozen):
     """TRUE / FALSE / NA (value None means NA)."""
 
-    value: Optional[bool]
-    span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
+    __slots__ = ("value", "span")
+    _compared = ("value",)
+
+    def __init__(self, value: Optional[bool], span: Optional[SrcSpan] = None):
+        _logical_value(self, value)
+        _logical_span(self, span)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class NumLit:
+class NumLit(Frozen):
     """Numeric literal keeping its source spelling for faithful deparse."""
 
-    text: str
-    value: float
-    is_int: bool = False  # carried an L suffix
+    __slots__ = ("text", "value", "is_int", "span")
 
-    span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
+    def __init__(self, text: str, value: float, is_int: bool = False,
+                 span: Optional[SrcSpan] = None):
+        _num_text(self, text)
+        _num_value(self, value)
+        _num_is_int(self, is_int)  # carried an L suffix
+        _num_span(self, span)
 
     def __eq__(self, other: object) -> bool:
         # compare by value, not spelling; NaN literals compare equal
@@ -71,7 +76,8 @@ class NumLit:
         return self.value == other.value
 
     def __hash__(self) -> int:
-        return hash((NumLit, self.is_int, str(self.value)))
+        # equal values hash equally: 0.0 and -0.0 alike, and every NaN as one
+        return hash((NumLit, self.is_int, self.value if self.value == self.value else "NaN"))
 
     @staticmethod
     def of(value: Union[int, float], is_int: bool = False) -> "NumLit":
@@ -85,91 +91,64 @@ class NumLit:
         return NumLit(text=text, value=float(value), is_int=is_int)
 
 
-@dataclass(frozen=True, slots=True)
-class StringLit:
+class StringLit(Frozen):
     """A string literal with its escapes decoded."""
 
-    value: str
-    span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
+    __slots__ = ("value", "span")
+    _compared = ("value",)
+
+    def __init__(self, value: str, span: Optional[SrcSpan] = None):
+        _string_value(self, value)
+        _string_span(self, span)
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolRef:
+class SymbolRef(Frozen):
     """A name. The empty name is R's missing argument (as in `x[, 1]`)."""
 
-    name: str
-    span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
+    __slots__ = ("name", "span")
+    _compared = ("name",)
+
+    def __init__(self, name: str, span: Optional[SrcSpan] = None):
+        _symbol_name(self, name)
+        _symbol_span(self, span)
 
 
-@dataclass(frozen=True, slots=True)
-class Arg:
+class Arg(Frozen):
     """One call argument, optionally named (`value = TRUE`)."""
 
-    value: "Expr"
-    name: Optional[str] = None
+    __slots__ = _compared = ("value", "name")
+
+    def __init__(self, value: Expr, name: Optional[str] = None):
+        _arg_value(self, value)
+        _arg_name(self, name)
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
+class Call(Frozen):
     """A callee applied to arguments: every operator, brace and keyword too."""
 
-    callee: "Expr"
-    args: tuple[Arg, ...] = ()
-    span: Optional[SrcSpan] = field(default=_NOSPAN, compare=False)
+    __slots__ = ("callee", "args", "span")
+    _compared = ("callee", "args")
+
+    def __init__(self, callee: Expr, args: tuple[Arg, ...] = (), span: Optional[SrcSpan] = None):
+        _call_callee(self, callee)
+        _call_args(self, args)
+        _call_span(self, span)
 
     def callee_name(self) -> Optional[str]:
         return self.callee.name if isinstance(self.callee, SymbolRef) else None
 
 
+# the slot setters through which each constructor above fills its instance
+_start_line, _start_col, _end_line, _end_col = setters(SrcSpan)
+(_null_span,) = setters(NullLit)
+_logical_value, _logical_span = setters(LogicalLit)
+_num_text, _num_value, _num_is_int, _num_span = setters(NumLit)
+_string_value, _string_span = setters(StringLit)
+_symbol_name, _symbol_span = setters(SymbolRef)
+_arg_value, _arg_name = setters(Arg)
+_call_callee, _call_args, _call_span = setters(Call)
+
 Expr = Union[NullLit, LogicalLit, NumLit, StringLit, SymbolRef, Call]
-
-
-# Unchecked constructors for the parser's hot path. Each makes the same
-# object as the public constructor, but fills the slots through the class's
-# own member descriptors: no dataclass `__init__` (one `object.__setattr__`
-# per field) and no `SrcSpan.__post_init__`, so a caller passes only a span
-# that is already ordered. Written out per class: a loop over the slots
-# costs most of what this saves.
-def _setters(cls: type) -> list:
-    return [getattr(cls, name).__set__ for name in cls.__slots__]
-
-
-_new = object.__new__
-_start_line, _start_col, _end_line, _end_col = _setters(SrcSpan)
-_symbol_name, _symbol_span = _setters(SymbolRef)
-_arg_value, _arg_name = _setters(Arg)
-_call_callee, _call_args, _call_span = _setters(Call)
-
-
-def unchecked_span(start_line: int, start_col: int, end_line: int, end_col: int) -> SrcSpan:
-    span = _new(SrcSpan)
-    _start_line(span, start_line)
-    _start_col(span, start_col)
-    _end_line(span, end_line)
-    _end_col(span, end_col)
-    return span
-
-
-def unchecked_symbol(name: str, span: SrcSpan) -> SymbolRef:
-    symbol = _new(SymbolRef)
-    _symbol_name(symbol, name)
-    _symbol_span(symbol, span)
-    return symbol
-
-
-def unchecked_arg(value: Expr, name: Optional[str] = None) -> Arg:
-    arg = _new(Arg)
-    _arg_value(arg, value)
-    _arg_name(arg, name)
-    return arg
-
-
-def unchecked_call(callee: Expr, args: tuple[Arg, ...], span: SrcSpan) -> Call:
-    node = _new(Call)
-    _call_callee(node, callee)
-    _call_args(node, args)
-    _call_span(node, span)
-    return node
 
 
 def call(name: str, *args: Union[Expr, Arg], **named: Expr) -> Call:

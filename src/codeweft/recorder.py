@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -19,6 +18,7 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from .deparse import deparse
 from .errors import MissingLog, SchemaError
+from .frozen import Frozen, setters
 from .parser import ProgramResult, parse_program, resume_program
 from .rast import SrcSpan
 
@@ -48,14 +48,17 @@ def _log_path(log_path: Optional[str | Path]) -> Path:
     return Path(log_path)
 
 
-@dataclass(frozen=True)
-class SessionEvent:
+class SessionEvent(Frozen):
     """One logged event: a session boundary or an expression."""
 
-    kind: str  # boundary_start | boundary_stop | expression
-    dt: datetime  # UTC, millisecond precision
-    expr_text: str = ""  # source text; kept raw when unparseable
-    meta: dict = field(default_factory=dict)
+    __slots__ = _compared = ("kind", "dt", "expr_text", "meta")
+
+    def __init__(self, kind: str, dt: datetime, expr_text: str = "",
+                 meta: Optional[dict] = None):
+        _kind(self, kind)  # boundary_start | boundary_stop | expression
+        _dt(self, dt)  # UTC, millisecond precision
+        _expr_text(self, expr_text)  # source text; kept raw when unparseable
+        _meta(self, {} if meta is None else meta)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -82,6 +85,9 @@ class SessionEvent:
         if not isinstance(event.meta, dict):
             raise TypeError(f"meta is not an object: {event.meta!r}")
         return event
+
+
+_kind, _dt, _expr_text, _meta = setters(SessionEvent)
 
 
 def _boundary_meta(capture_values: bool) -> dict:

@@ -7,22 +7,26 @@ from each argument left to right. Literals and symbols produce nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .corpus import CallRecord
 from .deparse import deparse
+from .frozen import Frozen, setters
 from .rast import Arg, Expr, SymbolRef, walk_calls
 
 
-@dataclass(frozen=True, slots=True)
-class FuncToken:
+class FuncToken(Frozen):
     """One flattened call: function name plus its argument expressions."""
 
-    func: str
-    args: tuple[Arg, ...]
-    file: str
-    line: int
-    depth: int  # nesting depth of the call within its top-level expression
+    __slots__ = _compared = ("func", "args", "file", "line", "depth")
+
+    def __init__(self, func: str, args: tuple[Arg, ...], file: str, line: int, depth: int):
+        _func(self, func)
+        _args(self, args)
+        _file(self, file)
+        _line(self, line)
+        _depth(self, depth)  # nesting depth of the call within its top-level expression
+
+
+_func, _args, _file, _line, _depth = setters(FuncToken)
 
 
 def func_name(callee: Expr) -> str:

@@ -369,12 +369,17 @@ def test_cli_import_leaves_http_stack_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def loaded_layers(*argv):
-    """The codeweft submodules that a fresh `python -m codeweft.cli ARGV` imports."""
+def imported_modules(*argv):
+    """The modules that a fresh `python -m codeweft.cli ARGV` imports."""
     proc = run_process("-X", "importtime", "-m", "codeweft.cli", *argv)
     assert proc.returncode == 0, proc.stderr[-500:]
     lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    names = (line.rsplit("|", 1)[-1].strip() for line in lines)
+    return {line.rsplit("|", 1)[-1].strip() for line in lines}
+
+
+def loaded_layers(*argv):
+    """The codeweft submodules that a fresh `python -m codeweft.cli ARGV` imports."""
+    names = imported_modules(*argv)
     return {name.split(".", 1)[1] for name in names if name.startswith("codeweft.")}
 
 
@@ -394,6 +399,19 @@ def test_stats_and_version_load_no_parse_stack(tmp_path, argv):
     (tmp_path / "counts.csv").write_text("g,n\na,2\nb,1\n")
     loaded = loaded_layers(*(arg.format(tmp=tmp_path) for arg in argv))
     assert not loaded & {"parser", "lexer", "rast", "deparse", "recorder", "lexicon"}
+
+
+@pytest.mark.parametrize("command", ["parse", "classify", "record --table", "stats counts"])
+def test_no_cli_path_loads_dataclasses(tmp_path, example_scripts, command):
+    # the tree and row types are slotted classes on codeweft.frozen, not dataclasses
+    from codeweft.recorder import record
+
+    log, table = tmp_path / "session.jsonl", tmp_path / "calls.csv"
+    record(["f(x)"], log_path=log)
+    table.write_text("func\nf\ng\nf\n")
+    inputs = {"record --table": ["--log", str(log)], "stats counts": ["--input", str(table)]}
+    loaded = imported_modules(*command.split(), *inputs.get(command, example_scripts))
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("command", ["parse", "fetch"])

@@ -1,17 +1,18 @@
 """The contract of the span, tree-node and row types.
 
-They are frozen slotted dataclasses: immutable, without a per-instance
-`__dict__`, compared and hashed by value with spans left out.
+They are frozen slotted classes on one base: immutable, without a
+per-instance `__dict__`, compared and hashed by value with spans left out.
 """
 
 import copy
-import dataclasses
 import math
 import pickle
+from datetime import datetime, timezone
 
 import pytest
 
 from codeweft.corpus import CallRecord
+from codeweft.lexicon import ClassificationEntry
 from codeweft.parser import parse_expr
 from codeweft.rast import (
     Arg,
@@ -23,9 +24,13 @@ from codeweft.rast import (
     StringLit,
     SymbolRef,
 )
+from codeweft.recorder import KIND_EXPRESSION, SessionEvent
 from codeweft.unnest import FuncToken, unnest_calls
 
 SPAN = SrcSpan(1, 1, 1, 3)
+ENTRY = ClassificationEntry("f", "import", "leeklab", 1.0)
+EVENT = SessionEvent(KIND_EXPRESSION, datetime(2024, 1, 2, tzinfo=timezone.utc), "f(x)",
+                     {"parsed": True})
 
 INSTANCES = [
     SPAN,
@@ -38,10 +43,12 @@ INSTANCES = [
     Call(SymbolRef("f"), (Arg(NullLit()),), SPAN),
     FuncToken("f", (), "a.R", 1, 0),
     CallRecord("a.R", SymbolRef("x"), 1),
+    ENTRY,
+    EVENT,
 ]
 
-# the parser builds these through rast's unchecked constructors; each is
-# paired with the same value from its public constructor
+# the parser and the lexer build these from token positions; each is paired
+# with the same value spelled out to its constructor
 PARSED = parse_expr("f(x, n = y)")
 PARSED_AND_PUBLIC = [
     (PARSED.span, SrcSpan(1, 1, 1, 11)),
@@ -60,9 +67,12 @@ INSTANCES += [pytest.param(parsed, id=f"parsed-{type(parsed).__name__}")
 @pytest.mark.parametrize("obj", INSTANCES, ids=lambda obj: type(obj).__name__)
 def test_instances_are_slotted_and_frozen(obj):
     assert not hasattr(obj, "__dict__")
-    field = dataclasses.fields(obj)[0].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(obj, field, getattr(obj, field))
+    assert type(obj).__slots__
+    for field in type(obj).__slots__:
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            delattr(obj, field)
 
 
 @pytest.mark.parametrize("parsed, public", PARSED_AND_PUBLIC,
@@ -96,6 +106,9 @@ def test_numlit_compares_by_value_and_nan_equals_nan():
     nan = NumLit("NaN", math.nan, span=SPAN)
     assert nan == NumLit("NaN", math.nan)
     assert hash(nan) == hash(NumLit("NaN", math.nan))
+    assert NumLit.of(0.0) == NumLit.of(-0.0)
+    assert hash(NumLit.of(0.0)) == hash(NumLit.of(-0.0))
+    assert len({NumLit.of(0.0), NumLit.of(-0.0)}) == 1
 
 
 def test_numlit_of_spells_its_value():
@@ -112,3 +125,5 @@ def test_trees_and_rows_survive_pickle_and_deepcopy(clone):
     assert copied.span == tree.span
     rows = unnest_calls(CallRecord("a.R", tree, 1))
     assert clone(rows) == rows
+    assert clone(ENTRY) == ENTRY
+    assert clone(EVENT) == EVENT

@@ -32,7 +32,6 @@ any difference. Standard library and git only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -247,7 +246,7 @@ def _tree(expr) -> list:
             stack.extend(a.value for a in reversed(node.args))
             stack.append(node.callee)
         else:
-            names = [f.name for f in dataclasses.fields(node) if f.name != "span"]
+            names = [name for name in type(node).__slots__ if name != "span"]
             fields = tuple(repr(getattr(node, name)) for name in names)
             out.append((type(node).__name__, fields, _span(node.span)))
     return out
