@@ -71,8 +71,6 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("unnest", help="tidy function/argument rows")
     p.add_argument("sources", nargs="*")
-    p.add_argument("--drop-literals", action="store_true",
-                   help="drop string/NULL top-level expressions before unnesting")
     p.add_argument("--with-depth", action="store_true", help="add the call depth column")
     p.set_defaults(run=cmd_unnest)
     _output_options(p)
@@ -84,7 +82,6 @@ def build_parser() -> _Parser:
     p.add_argument("--best", action="store_true",
                    help="keep only the top classification per function")
     p.add_argument("--drop-stopfuncs", action="store_true")
-    p.add_argument("--drop-literals", action="store_true")
     p.set_defaults(run=cmd_classify)
     _output_options(p)
 
@@ -177,14 +174,6 @@ def _expression_rows(json_ast: bool):
     return rows
 
 
-def _tokens(records, drop_literals: bool):
-    from .rast import NullLit, StringLit
-    from .unnest import unnest_corpus
-    if drop_literals:
-        records = [r for r in records if not isinstance(r.expr, (StringLit, NullLit))]
-    return unnest_corpus(records)
-
-
 # --- subcommands --------------------------------------------------------
 
 
@@ -195,10 +184,11 @@ def cmd_parse(args) -> int:
 
 def cmd_unnest(args) -> int:
     from .deparse import deparse_arg
+    from .unnest import unnest_corpus
     columns = ["file", "line", "func", "args"] + (["depth"] if args.with_depth else [])
 
     def rows(records):
-        for t in _tokens(records, args.drop_literals):
+        for t in unnest_corpus(records):
             row = (t.file, t.line, t.func, "; ".join(deparse_arg(a) for a in t.args))
             yield row + (t.depth,) if args.with_depth else row
 
@@ -207,6 +197,7 @@ def cmd_unnest(args) -> int:
 
 def cmd_classify(args) -> int:
     from .lexicon import classify, load_classifications, load_stopfuncs, remove_stopfuncs
+    from .unnest import unnest_corpus
     lexdir = Path(args.lexicon_path) if args.lexicon_path else None
     stops = args.drop_stopfuncs and load_stopfuncs(lexdir / "stopfuncs.txt" if lexdir else None)
     entries = load_classifications(
@@ -218,7 +209,7 @@ def cmd_classify(args) -> int:
     pick = itemgetter(0, 1, *([2] if args.lexicon is None else []), *([] if args.best else [3]))
 
     def rows(records):
-        tokens = _tokens(records, args.drop_literals)
+        tokens = unnest_corpus(records)
         if stops:
             tokens = remove_stopfuncs(tokens, stops)
         for t, e in classify(tokens, entries):

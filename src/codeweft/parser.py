@@ -127,7 +127,7 @@ class _Parser:
     ordered by construction and always passes `SrcSpan`'s check.
     """
 
-    __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "depth", "lists",
+    __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "depth", "resumes",
                  "cut")
 
     def __init__(self, tokens: Tokens, text: str, cut: SourceError | None = None):
@@ -140,9 +140,9 @@ class _Parser:
         self.span = tokens.span
         self.pos = 0
         self.depth = 0  # parse_expr calls open
-        # lists open where the input ran out, innermost first: (first token of the
-        # item before the current one, closer, depth at the opener)
-        self.lists: list[tuple] = []
+        # where to resume the constructs open where the input ran out, innermost
+        # first: (token, depth, routine, arguments), for routine(self, *arguments)
+        self.resumes: list[tuple] = []
         # the lexer error that ended the tokens, until the parse raises it at their end
         self.cut = cut
 
@@ -193,14 +193,16 @@ class _Parser:
 
     # --- expressions ----------------------------------------------------
 
-    def parse_expr(self, min_bp: int = 0) -> Expr:
+    def parse_expr(self, min_bp: int = 0, left: Expr | None = None, first: int = 0) -> Expr:
+        """An expression binding at least `min_bp`; given `left` (begun at `first`), its rest."""
         depth = self.depth
         if depth > MAX_NESTING:
             message = f"expression nested more than {MAX_NESTING} levels deep"
             raise NestingTooDeep(message, self.here())
         self.depth = depth + 1
-        first = self.pos
-        left = self.parse_operand()
+        if left is None:
+            first = self.pos
+            left = self.parse_operand()
         kinds, texts = self.kinds, self.texts
         while True:
             i = self.pos
@@ -213,15 +215,22 @@ class _Parser:
                 break
             if lbp < min_bp:
                 break
-            if text in ("(", "[", "[["):
-                left = self.parse_suffix_call(left, first)
-                continue
-            self.pos = i + 1  # an operator, never EOF
-            self.skip_newlines()
-            if text in ("$", "@", "::", ":::"):
-                operand = self.parse_member_name()
-            else:
-                operand = self.parse_expr(lbp if right else lbp + 1)
+            try:
+                if text in ("(", "[", "[["):
+                    left = self.parse_suffix_call(left, first)
+                    continue
+                self.pos = i + 1  # an operator, never EOF
+                self.skip_newlines()
+                if text in ("$", "@", "::", ":::"):
+                    operand = self.parse_member_name()
+                else:
+                    operand = self.parse_expr(lbp if right else lbp + 1)
+            except IncompleteInput:
+                # only the innermost: once a construct inside closes, the next one
+                # out (or a full parse) parses this chain again anyway
+                if not self.resumes:
+                    self.resumes.append((i, depth, _Parser.parse_expr, (min_bp, left, first)))
+                raise
             name = _RIGHTWARD.get(text)  # R rewrites rightward assignment
             lhs, rhs = Arg(left), Arg(operand)
             args = (rhs, lhs) if name else (lhs, rhs)
@@ -276,7 +285,7 @@ class _Parser:
                 if not (self.at(NEWLINE) or self.at(SEMI) or self.at(OP, "}")):
                     self.fail("'}', newline or ';'")
         except IncompleteInput:
-            self.lists.append((prev, "}", depth))
+            self.resumes.append((prev, depth, _Parser.parse_block, ()))
             raise
         self.advance()
         return stmts
@@ -324,7 +333,7 @@ class _Parser:
                     return args
                 self.advance()
         except IncompleteInput:
-            self.lists.append((prev, closer, depth))
+            self.resumes.append((prev, depth, _Parser.parse_args, (closer,)))
             raise
 
     def parse_one_arg(self) -> Arg:
@@ -381,16 +390,22 @@ class _Parser:
         formals: list[Arg] = []
         if self.at(OP, ")"):
             return formals
-        while True:
-            name = self.texts[self.expect(NAME, what="formal argument name")]
-            value: Expr = SymbolRef("")
-            if self.at(OP, "="):
+        depth, item = self.depth, self.pos
+        try:
+            while True:
+                prev, item = item, self.pos
+                name = self.texts[self.expect(NAME, what="formal argument name")]
+                value: Expr = SymbolRef("")
+                if self.at(OP, "="):
+                    self.advance()
+                    value = self.parse_body()
+                formals.append(Arg(value, name=name))
+                if not self.at(OP, ","):
+                    return formals
                 self.advance()
-                value = self.parse_body()
-            formals.append(Arg(value, name=name))
-            if not self.at(OP, ","):
-                return formals
-            self.advance()
+        except IncompleteInput:
+            self.resumes.append((prev, depth, _Parser.parse_formals, ()))
+            raise
 
     def _else_follows(self) -> bool:
         # `else` may start a new line only inside a braced block, where the
@@ -466,14 +481,14 @@ def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None) -> Program
 
 def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     """`parse_program(text)` for a text that extends an incomplete result's
-    text by whole lines, lexing only those lines and parsing again only the
-    innermost open list, from the item before the current one (a new line can
-    still join it: an `else`); then the next one out, then all. A result is
-    resumed once; one that cannot be gives a full parse."""
+    text by whole lines: it lexes those lines and parses again the innermost
+    open construct where it stopped (a list from the item before the current
+    one, which a new line can still join: an `else`), then the next one out,
+    then all. A result is resumed once; one that cannot be is parsed in full."""
     parser, result._parser = result._parser, None
     if not (parser and text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
         return parse_program(text)
-    tokens, n, lists, cut = parser.tokens, len(parser.tokens), parser.lists, None
+    tokens, n, resumes, cut = parser.tokens, len(parser.tokens), parser.resumes, None
     try:
         lexer.scan(tokens, text, len(parser.text), keep_newlines=True)
     except SourceError as err:
@@ -481,15 +496,12 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     parser.kinds[n:] = [*tokens.kinds[n:], EOF]
     parser.texts[n:] = [*tokens.texts[n:], ""]
     parser.text, parser.cut = text, cut
-    for i, (pos, closer, depth) in enumerate(lists):
-        parser.pos, parser.depth, parser.lists = pos, depth, []
+    for i, (pos, depth, routine, arguments) in enumerate(resumes):
+        parser.pos, parser.depth, parser.resumes = pos, depth, []
         try:
-            if closer == "}":
-                parser.parse_block()
-            else:
-                parser.parse_args(closer)
+            routine(parser, *arguments)
         except IncompleteInput as err:
-            parser.lists += lists[i + 1 :]
+            parser.resumes += resumes[i + 1 :]
             return ProgramResult(list(result.exprs), [err.with_traceback(None)], True, parser)
         except SourceError:
             break

@@ -93,10 +93,10 @@ def test_unnest_with_depth(capsys, example_scripts):
     assert rows[0]["depth"] == "0"
 
 
-def test_unnest_drop_literals(capsys, tmp_path):
+def test_unnest_string_and_null_expressions_yield_no_rows(capsys, tmp_path):
     src = tmp_path / "s.R"
     src.write_text('"just text"\nf(1)\nNULL\n')
-    _, out, _ = run(capsys, "unnest", "--drop-literals", str(src))
+    _, out, _ = run(capsys, "unnest", str(src))
     rows = rows_of_csv(out)
     assert [r["func"] for r in rows] == ["f"]
 

@@ -125,12 +125,12 @@ def test_record_logs_each_deparsed_program_once(seed):
         assert strip_parens(parse_expr(event.expr_text)) == strip_parens(tree), event.expr_text
 
 
-# lines that open or close a bracket, continue an if, break off a string or
-# fail at once, inserted among the lines of deparsed programs
+# lines that open or close a bracket, continue an if or an operator, break
+# off a string or fail at once, inserted among the lines of deparsed programs
 _SESSION_NOISE = [
     "", "  ", "# note", "else c", "if (a) b", "f(a b", "g(", "1,", "k = 2)", ")", "]", "]]", "}",
     "{", "x[1,", "y[[", "h <- function(x) {", "function(a,", "x <-", "%>% f()", "'open", "close'",
-    "a b", ",", "c)", "}}", "while (x) {", "else {", "`tick",
+    "a b", ",", "c)", "}}", "while (x) {", "else {", "`tick", "x %>%", "(a +", "b +", "b = 1,",
 ]
 
 

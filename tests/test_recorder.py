@@ -230,3 +230,37 @@ def test_recording_a_long_function_reads_each_line_a_bounded_number_of_times(
     assert _expressions(events) == [("\n".join(lines), True)]
     # a recorder that parses the whole pending text on every line reads it about 200 times
     assert scans.scanned + sum(received) <= 3 * len("\n".join(lines))
+
+
+_STAGES = 398  # lines between the first and the last of a 400-line paste
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["x %>%", *["  f() %>%"] * _STAGES, "  g()"],
+        ["h <- function(x) {", "  x %>%", *["  f() %>%"] * (_STAGES - 2), "  g()", "}"],
+        ["(a +", *["  b +"] * _STAGES, "  c)"],
+        ["k <- function(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z) NULL"],
+        ["f(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z)"],
+    ],
+    ids=["top-level-chain", "chain-in-function", "parenthesised-sum", "formals", "arguments"],
+)
+def test_recording_a_long_paste_does_bounded_parser_work_per_token(clock, log, monkeypatch, lines):
+    # each open construct resumes where it stopped, so no line parses the paste again
+    from codeweft import lexer, parser
+
+    assert len(lines) == 400
+    tokens = len(lexer.tokenize("\n".join(lines)))
+    calls = 0
+    parse_expr = parser._Parser.parse_expr
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return parse_expr(self, *args)
+
+    monkeypatch.setattr(parser._Parser, "parse_expr", counting)
+    events = record(lines, clock=clock, log_path=log)
+    assert _expressions(events) == [("\n".join(lines), True)]
+    assert calls <= 3 * tokens

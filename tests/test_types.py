@@ -127,3 +127,15 @@ def test_trees_and_rows_survive_pickle_and_deepcopy(clone):
     assert clone(rows) == rows
     assert clone(ENTRY) == ENTRY
     assert clone(EVENT) == EVENT
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="==, hash, repr, pickle and deepcopy recurse down a chain's left spine")
+def test_a_long_chain_compares_hashes_prints_pickles_and_copies():
+    text = "x" + " %>% f()" * 250
+    tree, again = parse_expr(text), parse_expr(text)
+    assert tree == again
+    assert hash(tree) == hash(again)
+    assert repr(tree).startswith("Call(")
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    assert copy.deepcopy(tree) == tree

@@ -21,9 +21,10 @@ Inputs are the parser goldens, one file of all of them, the bundled
 examples, each nesting form at depths around and far past the parser's
 nesting cap, long operator chains, and N seeded random programs and
 mutations of goldens, examples and random programs. Then come programs
-whose blocks and argument lists stay open across lines, cut after every
-line, and such programs with a hard error on a line inside an open `(`,
-`[` or `{`. Differences are counted by input family and by section (an
+whose blocks, argument lists, formals lists, operator chains and member
+accesses stay open across lines, cut after every line, and such programs
+with a hard error on a line inside an open `(`, `[` or `{`, or after an
+operator. Differences are counted by input family and by section (an
 input counts once under each section that differs), and the first SHOW
 are printed, each at its first differing section. The exit status is 1 on
 any difference. Standard library and git only.
@@ -71,9 +72,13 @@ _ARG_NAMES = _NAMES + ['"a"', "'b'", "``", '""']
 _MEMBER = ["$", "@", "::", ":::"]
 _UNARY = ["-", "+", "!", "~", "?"]
 _SEPARATORS = ["\n", "; ", "\n\n", " # note\n", "\r\n"]
-# (opener, item separator, closer) of a list spread over lines
+# (opener, item separator, closer) of a list or an operator chain spread
+# over lines; a `function(` opener takes formals as its items
 _WRAPS = [("{", "\n", "}"), ("f <- function(a) {", "\n", "}"), ("if (a) {", "\n", "} else {\n  b\n}"),
-          ("g(", ",\n", ")"), ("x[", ",\n", "]"), ("y[[", ",\n", "]]"), ("list(k = ", ",\n", ")")]
+          ("g(", ",\n", ")"), ("x[", ",\n", "]"), ("y[[", ",\n", "]]"), ("list(k = ", ",\n", ")"),
+          ("x %>%", " %>%\n", ""), ("(a +", " +\n", ")"), ("b +", " +\n", ""),
+          ("h <- function(", ",\n", ") NULL")]
+_FORMALS = ["a", "b = 1", "...", "c = x %>%\n  f()", "d = {\n  1\n}", "e = g(1,\n  2)"]
 # what may stand between two lines of a block, or between an if and its else
 _GAPS = ["\n", "\n\n", "\n  # note\n"]
 # lines no further input can repair
@@ -148,28 +153,34 @@ def random_program(rng: random.Random) -> str:
 
 
 def open_program(rng: random.Random) -> str:
-    """Blocks and argument lists nested up to three deep, one item a line."""
+    """Blocks, lists and chains nested up to three deep, one item a line."""
     def item(depth: int) -> str:
         if depth and rng.random() < 0.5:
             return build(depth - 1)
-        if rng.random() < 0.2:
+        pick = rng.random()
+        if pick < 0.2:
             return f"if (a) {random_expr(rng, 1)}{rng.choice(_GAPS)}else {random_expr(rng, 1)}"
+        if pick < 0.3:  # a member access split after its operator
+            return f"{random_expr(rng, 1)}{rng.choice(_MEMBER)}\n{rng.choice(_NAMES)}"
         return random_expr(rng, rng.randint(1, 3))
 
     def build(depth: int) -> str:
         opener, separator, closer = rng.choice(_WRAPS)
-        text = item(depth)
+        next_item = (lambda _: rng.choice(_FORMALS)) if opener.endswith("function(") else item
+        text = next_item(depth)
         for _ in range(rng.randint(0, 2)):
-            text += (rng.choice(_GAPS) if separator == "\n" else separator) + item(depth)
-        return f"{opener}\n{text}\n{closer}"
+            text += (rng.choice(_GAPS) if separator == "\n" else separator) + next_item(depth)
+        return "\n".join(part for part in (opener, text, closer) if part)
 
     return "\n".join(build(rng.randint(0, 2)) for _ in range(rng.randint(1, 2)))
 
 
 def inject(rng: random.Random, text: str) -> str:
-    """`text` with a hard error on a new line after one that leaves a bracket open."""
+    """`text` with a hard error on a new line after one that leaves a bracket
+    or an operator open."""
     lines = text.split("\n")
-    open_at = [i for i, line in enumerate(lines) if line.endswith(("{", "(", "[", ","))] or [0]
+    ends = ("{", "(", "[", ",", "%>%", "+", *_MEMBER)
+    open_at = [i for i, line in enumerate(lines) if line.endswith(ends)] or [0]
     at = rng.choice(open_at) + 1
     return "\n".join(lines[:at] + [rng.choice(_HARD)] + lines[at:])
 
