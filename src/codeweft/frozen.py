@@ -8,6 +8,9 @@ deletion raise `AttributeError`. Instances pickle and deep-copy by
 calling the constructor again.
 """
 
+import functools
+import gc
+
 
 class Frozen:
     __slots__ = ()
@@ -40,3 +43,18 @@ class Frozen:
 def setters(cls: type) -> list:
     """The slot setters of `cls`, in `__slots__` order."""
     return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+def nogc(fn):
+    """`fn` run with the cyclic garbage collector paused, unless it already was:
+    frozen values form no cycle, so collecting them while built only rewalks them."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused

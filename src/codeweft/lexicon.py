@@ -22,7 +22,7 @@ from .errors import (
     UnknownCategory,
     UnknownLexicon,
 )
-from .frozen import Frozen, setters
+from .frozen import Frozen, nogc, setters
 from .unnest import FuncToken
 
 CATEGORIES = frozenset(
@@ -169,6 +169,7 @@ def best_classifications(
     return list(best.values())
 
 
+@nogc
 def classify(
     tokens: Sequence[FuncToken], entries: Sequence[ClassificationEntry]
 ) -> list[tuple[FuncToken, ClassificationEntry]]:
@@ -185,11 +186,7 @@ def classify(
             by_func.setdefault(e.func, []).append(e)
     for matches in by_func.values():
         matches.sort(key=lambda e: (e.lexicon, -e.score, e.classification))
-    out: list[tuple[FuncToken, ClassificationEntry]] = []
-    for token in tokens:
-        for entry in by_func.get(token.func, ()):
-            out.append((token, entry))
-    return out
+    return [(token, entry) for token in tokens for entry in by_func.get(token.func, ())]
 
 
 def load_stopfuncs(source: Optional[str | Path] = None) -> frozenset[str]:

@@ -25,6 +25,7 @@ from .errors import (
     UnterminatedBacktick,
     UnterminatedString,
 )
+from .frozen import nogc
 from .lexer import EOF, KEYWORD, NAME, NEWLINE, NUM, OP, SEMI, SPECIAL, STRING, Tokens
 from .rast import (
     Arg,
@@ -442,6 +443,7 @@ class _Parser:
                 return
 
 
+@nogc
 def parse_program(text: str) -> ProgramResult:
     """Parse every top-level expression, recovering at expression boundaries."""
     try:
@@ -479,6 +481,7 @@ def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None) -> Program
     return result
 
 
+@nogc
 def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     """`parse_program(text)` for a text that extends an incomplete result's
     text by whole lines: it lexes those lines and parses again the innermost

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .corpus import CallRecord
 from .deparse import deparse
-from .frozen import Frozen, setters
+from .frozen import Frozen, nogc, setters
 from .rast import Arg, Expr, SymbolRef, walk_calls
 
 
@@ -49,6 +49,7 @@ def unnest_calls(record: CallRecord) -> list[FuncToken]:
     ]
 
 
+@nogc
 def unnest_corpus(records: list[CallRecord]) -> list[FuncToken]:
     """Concatenated unnest_calls per record, preserving record order."""
     out: list[FuncToken] = []
