@@ -220,8 +220,8 @@ def cmd_classify(args) -> int:
 
 def _read_table(path: str) -> tuple[Optional[list[str]], list[dict]]:
     """The CSV header (None for JSONL or an empty input) and the rows."""
-    from .corpus import _decode, _read_local
-    text = _decode(path, sys.stdin.buffer.read()) if path == "-" else _read_local(path)
+    from .textfile import decode, read_local
+    text = decode(path, sys.stdin.buffer.read()) if path == "-" else read_local(path)
     if text.lstrip().startswith("{"):
         rows = []
         for lineno, line in enumerate(text.splitlines(), 1):

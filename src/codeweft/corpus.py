@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import __version__
 from .errors import HttpError, IoError
 from .frozen import Frozen, setters
+from .textfile import read_local
 
 if TYPE_CHECKING:
     from .rast import Expr
@@ -72,22 +73,6 @@ def _fetch_url(url: str, retries: int = 0, backoff: float = 0.5) -> str:
     raise HttpError(url, status)
 
 
-def _decode(source: str, data: bytes) -> str:
-    # a leading byte-order mark is dropped, as R's readLines() drops it
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise IoError(source, f"not valid UTF-8: {exc}") from exc
-
-
-def _read_local(path: str) -> str:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(path, exc.strerror or str(exc)) from exc
-    return _decode(path, data)
-
-
 def parse_source_text(source_id: str, text: str) -> ReadResult:
     """Parse already-fetched text into records under the given source id."""
     from .parser import parse_program
@@ -107,7 +92,7 @@ def _load(source: str, retries: int) -> ReadResult:
         if source.startswith(("http://", "https://")):
             text = _fetch_url(source, retries)
         else:
-            text = _read_local(source)
+            text = read_local(source)
     except (IoError, HttpError) as exc:
         return ReadResult(errors=[exc])
     return parse_source_text(source, text)
@@ -132,7 +117,7 @@ def recital(text: str) -> ReadResult:
 def read_manifest(path: str) -> list[str]:
     """Newline-delimited sources; `#` starts a comment, blanks ignored."""
     sources = []
-    for raw in _read_local(path).splitlines():
+    for raw in read_local(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             sources.append(line)

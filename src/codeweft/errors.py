@@ -102,5 +102,5 @@ class HttpError(CodeweftError):
         super().__init__(f"{source}: {detail}")
 
 
-class MissingLog(CodeweftError):
-    pass
+class MissingLog(IoError):
+    """No session log at the path: an I/O error, as a missing source or table is."""

@@ -92,11 +92,13 @@ class Tokens:
     `end_cols[i]`, the bounds of its span. `len()` is the token count; the
     parser reads the lists and builds a span only for what it keeps. `stack`,
     `line` and `line_start` are where `scan` stopped: for a scan a lexer
-    error cut, at the start of the token that raised.
+    error cut, at the start of the token that raised. Equal texts are one
+    object: `shared` maps each text to the first string scanned with it, so
+    the trees built from the tokens hold each name once.
     """
 
     __slots__ = ("kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols",
-                 "stack", "line", "line_start")
+                 "stack", "line", "line_start", "shared")
 
     def __init__(self):
         self.kinds: list[str] = []
@@ -109,6 +111,9 @@ class Tokens:
         self.end_cols: list[int] = []
         self.stack: list[bool] = []  # open delimiters, True where newlines are significant
         self.line, self.line_start = 1, 0  # current line number and the offset it starts at
+        # one table per token stream, not `sys.intern`'s process-wide one: the
+        # names of a source are freed with its tokens and trees
+        self.shared: dict[str, str] = {}
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -154,6 +159,7 @@ def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
     kinds, texts, values = tokens.kinds, tokens.texts, tokens.values
     lines, cols, end_lines, end_cols = tokens.lines, tokens.cols, tokens.end_lines, tokens.end_cols
     stack, line, line_start = tokens.stack, tokens.line, tokens.line_start
+    shared = tokens.shared.setdefault
 
     def span(start: int, end: int) -> SrcSpan:
         """1-based inclusive span of text[start:end], which starts on `line`.
@@ -221,7 +227,7 @@ def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
             elif kind == "bad":
                 raise InvalidCharacter(f"invalid character {raw!r}", span(start, end))
             kinds.append(kind)
-            texts.append(raw)
+            texts.append(shared(raw, raw))
             values.append(value)
             lines.append(line)
             cols.append(start - line_start + 1)

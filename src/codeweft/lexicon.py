@@ -14,7 +14,6 @@ import os
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import _read_local
 from .errors import (
     IoError,
     SchemaError,
@@ -23,6 +22,7 @@ from .errors import (
     UnknownLexicon,
 )
 from .frozen import Frozen, nogc, setters
+from .textfile import read_local
 from .unnest import FuncToken
 
 CATEGORIES = frozenset(
@@ -71,7 +71,7 @@ def _data_path(name: str) -> Path:
 
 def _read_text(kind: str, path: Path) -> str:
     try:
-        return _read_local(str(path))
+        return read_local(str(path))
     except IoError as exc:
         raise SchemaError(f"cannot read {kind} file {exc}") from exc
 

@@ -162,13 +162,14 @@ def walk_calls(expr: Expr) -> Iterator[tuple[Call, int]]:
     """Every Call node with its nesting depth, pre-order: a call, then its
     callee subtree, then each argument left to right. The walk keeps its own
     stack, so a tree of any depth is walked."""
-    stack: list[tuple[Expr, int]] = [(expr, 0)]
+    stack: list[tuple[Call, int]] = [(expr, 0)] if isinstance(expr, Call) else []
     while stack:
         node, depth = stack.pop()
-        if isinstance(node, Call):
-            yield node, depth
-            depth += 1
-            stack.extend([(a.value, depth) for a in reversed(node.args)])
+        yield node, depth
+        depth += 1
+        # only calls are pushed: a literal or symbol child holds none
+        stack.extend([(v, depth) for a in reversed(node.args) if isinstance(v := a.value, Call)])
+        if isinstance(node.callee, Call):
             stack.append((node.callee, depth))
 
 

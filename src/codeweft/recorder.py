@@ -177,7 +177,7 @@ def _expression_texts(lines: list[str], spans: list[SrcSpan]) -> list[str]:
 def read_log(log_path: Optional[str | Path] = None) -> list[SessionEvent]:
     path = _log_path(log_path)
     if not path.exists():
-        raise MissingLog(f"no session log at {path}")
+        raise MissingLog(str(path), "no session log")
     events = []
     # bytes: json.loads decodes each line, so bad UTF-8 fails that line only
     with open(path, "rb") as fh:

@@ -398,7 +398,7 @@ def test_stats_and_version_load_no_parse_stack(tmp_path, argv):
     (tmp_path / "classified.csv").write_text("id,classification\n1,import\n2,visualization\n")
     (tmp_path / "counts.csv").write_text("g,n\na,2\nb,1\n")
     loaded = loaded_layers(*(arg.format(tmp=tmp_path) for arg in argv))
-    assert not loaded & {"parser", "lexer", "rast", "deparse", "recorder", "lexicon"}
+    assert not loaded & {"parser", "lexer", "rast", "deparse", "recorder", "lexicon", "corpus", "frozen"}
 
 
 @pytest.mark.parametrize("command", ["parse", "classify", "record --table", "stats counts"])
@@ -696,7 +696,9 @@ def test_each_source_is_written_before_the_next_is_read(monkeypatch, tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "case", ["unwritable-output", "closed-pipe", "log-under-a-file", "table-of-a-dir", "remove-a-dir"]
+    "case",
+    ["unwritable-output", "closed-pipe", "log-under-a-file", "table-of-a-dir", "missing-log",
+     "remove-a-dir"],
 )
 def test_output_io_error_exits_66(tmp_path, case):
     ok = tmp_path / "ok.R"
@@ -706,6 +708,7 @@ def test_output_io_error_exits_66(tmp_path, case):
         "closed-pipe": ["unnest", str(ok)],
         "log-under-a-file": ["record", "--log", str(ok / "s.jsonl")],
         "table-of-a-dir": ["record", "--table", "--log", str(tmp_path)],
+        "missing-log": ["record", "--table", "--log", str(tmp_path / "missing.jsonl")],
         "remove-a-dir": ["record", "--remove", "--log", str(tmp_path)],
     }[case]
     if case == "closed-pipe":  # `codeweft unnest ok.R | head -1`

@@ -7,7 +7,7 @@ from codeweft.errors import (
     UnterminatedBacktick,
     UnterminatedString,
 )
-from codeweft.lexer import tokenize
+from codeweft.lexer import scan, tokenize
 
 
 def kinds(text, keep_newlines=False):
@@ -112,6 +112,15 @@ def test_newlines_kept_inside_braces():
 def test_newline_value_says_whether_a_block_is_open(text, values):
     tokens = tokenize(text, keep_newlines=True)
     assert [v for kind, v in zip(tokens.kinds, tokens.values) if kind == "newline"] == values
+
+
+def test_a_resumed_scan_shares_texts_with_the_first():
+    first, more = "total <- mean(values)\n", "total <- sum(`values`)\n"
+    tokens = tokenize(first, keep_newlines=True)
+    scan(tokens, first + more, len(first), keep_newlines=True)
+    assert tokens.texts[0] == tokens.texts[7] == "total"
+    assert tokens.texts[0] is tokens.texts[7]
+    assert tokens.texts[4] is tokens.texts[11]  # a backtick name shares with a plain one
 
 
 def test_keywords():

@@ -354,6 +354,35 @@ def test_tokenize_returns_tokens_or_raises_source_error(text):
     columns = [tokens.kinds, tokens.texts, tokens.values, tokens.lines, tokens.cols,
                tokens.end_lines, tokens.end_cols]
     assert all(len(column) == len(tokens) for column in columns)
+    first: dict[str, str] = {}
+    assert all(first.setdefault(t, t) is t for t in tokens.texts)  # equal texts are one object
+
+
+def _symbols(expr):
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SymbolRef):
+            yield node
+        elif isinstance(node, Call):
+            stack += [node.callee, *(a.value for a in node.args)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63))
+def test_equal_names_in_a_source_are_one_string(seed):
+    # every symbol of one parsed source with a given name holds one `str`, and
+    # so does the function name of each row whose callee is a symbol
+    text = "\n".join(_session_lines(random.Random(seed)))
+    records = [CallRecord("<test>", expr, span.start_line) for expr, span in parse_program(text).exprs]
+    first: dict[str, str] = {}
+    for record in records:
+        for symbol in _symbols(record.expr):
+            assert first.setdefault(symbol.name, symbol.name) is symbol.name, (symbol.name, text)
+    calls = [call for record in records for call, _ in walk_calls(record.expr)]
+    for call, row in zip(calls, unnest_corpus(records), strict=True):
+        if isinstance(call.callee, SymbolRef):
+            assert row.func is first[row.func], (row.func, text)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -23,6 +23,9 @@ def test_simple_call():
 def test_preorder_call_then_callee_then_args():
     assert funcs("f(g(x), h(y))") == ["f", "g", "h"]
     assert funcs("f(x)(y)") == ["f(x)", "f"]
+    # a call callee and a call argument among a literal one
+    tree = parse_expr("f()(g(x), 1)")
+    assert [(func_name(c.callee), d) for c, d in walk_calls(tree)] == [("f()", 0), ("f", 1), ("g", 1)]
 
 
 def test_operators_are_tokens():
