@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from . import lexer
 from .errors import (
@@ -307,7 +307,7 @@ class _Parser:
         i = self.advance()  # ( [ [[
         text = self.texts[i]
         closer = ")" if text == "(" else "]"
-        args = self.parse_args(closer)
+        args = self.parse_list(closer, _Parser.parse_arg)
         self.expect(OP, closer)
         if text == "[[":
             self.expect(OP, "]", what="']]'")
@@ -316,35 +316,42 @@ class _Parser:
         # an empty subscript keeps R's missing-argument slot: x[] has one
         return self.node(i, [Arg(callee), *(args or [Arg(SymbolRef(""))])], first)
 
-    def parse_args(self, closer: str) -> list[Arg]:
-        """Comma-separated arguments before `closer`; an empty slot before a
-        comma or the closer is R's missing argument."""
-        args: list[Arg] = []
+    def parse_list(self, closer: str, item: Callable[[_Parser, str], Arg]) -> list[Arg]:
+        """Comma-separated items before `closer`, each read by `item(self, closer)`."""
+        items: list[Arg] = []
         if self.at(OP, closer):
-            return args
-        depth, item = self.depth, self.pos
+            return items
+        depth, start = self.depth, self.pos
         try:
             while True:
-                prev, item = item, self.pos
-                if self.at(OP, ",") or self.at(OP, closer):
-                    args.append(Arg(SymbolRef("")))
-                else:
-                    args.append(self.parse_one_arg())
+                prev, start = start, self.pos
+                items.append(item(self, closer))
                 if not self.at(OP, ","):
-                    return args
+                    return items
                 self.advance()
         except IncompleteInput:
-            self.resumes.append((prev, depth, _Parser.parse_args, (closer,)))
+            self.resumes.append((prev, depth, _Parser.parse_list, (closer, item)))
             raise
 
-    def parse_one_arg(self) -> Arg:
+    def parse_arg(self, closer: str) -> Arg:
+        """One argument; an empty slot before a comma or `closer` is R's missing argument."""
         i = self.pos
         kind = self.kinds[i]
         if kind in (NAME, STRING) and self.kinds[i + 1] == OP and self.texts[i + 1] == "=":
             self.pos = i + 2
             name = self.texts[i] if kind == NAME else self.values[i]
             return Arg(self.parse_body(), name)  # type: ignore[arg-type]
+        if self.at(OP, ",") or self.at(OP, closer):
+            return Arg(SymbolRef(""))
         return Arg(self.parse_expr(0))
+
+    def parse_formal(self, closer: str) -> Arg:
+        """One formal; without a default it holds R's missing argument."""
+        name = self.texts[self.expect(NAME, what="formal argument name")]
+        if not self.at(OP, "="):
+            return Arg(SymbolRef(""), name=name)
+        self.advance()
+        return Arg(self.parse_body(), name=name)
 
     # --- keyword constructs --------------------------------------------
 
@@ -369,7 +376,7 @@ class _Parser:
         variable and the sequence) or function (the formals)."""
         self.expect(OP, "(", what=f"'(' after {kw}")
         if kw == "function":
-            args = self.parse_formals()
+            args = self.parse_list(")", _Parser.parse_formal)
         elif kw == "for":
             var = self.expect(NAME, what="loop variable")
             self.expect(KEYWORD, "in", what="'in'")
@@ -384,29 +391,6 @@ class _Parser:
         which may start on a later line."""
         self.skip_newlines()
         return self.parse_expr(0)
-
-    def parse_formals(self) -> list[Arg]:
-        """Comma-separated formals before `)`; one without a default holds
-        R's missing argument."""
-        formals: list[Arg] = []
-        if self.at(OP, ")"):
-            return formals
-        depth, item = self.depth, self.pos
-        try:
-            while True:
-                prev, item = item, self.pos
-                name = self.texts[self.expect(NAME, what="formal argument name")]
-                value: Expr = SymbolRef("")
-                if self.at(OP, "="):
-                    self.advance()
-                    value = self.parse_body()
-                formals.append(Arg(value, name=name))
-                if not self.at(OP, ","):
-                    return formals
-                self.advance()
-        except IncompleteInput:
-            self.resumes.append((prev, depth, _Parser.parse_formals, ()))
-            raise
 
     def _else_follows(self) -> bool:
         # `else` may start a new line only inside a braced block, where the
