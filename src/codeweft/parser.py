@@ -186,6 +186,14 @@ class _Parser:
             raise cut or IncompleteInput("unexpected end of input", self.here(), expected)
         raise RSyntaxError(f"unexpected {self.texts[self.pos]!r}", self.here(), expected)
 
+    def symbol(self, i: int) -> SymbolRef:
+        """Name token `i` as a symbol. R has no zero-length name, and
+        codeweft's empty symbol is the missing argument."""
+        text = self.texts[i]
+        if not text:
+            raise RSyntaxError("attempt to use zero-length variable name", self.span(i, i))
+        return SymbolRef(text, self.span(i, i))
+
     def node(self, op: int, args: Sequence[Arg], first: int, name: str | None = None) -> Call:
         """The call of operator or keyword token `op` (called `name` if given),
         spanning token `first` through the last token consumed."""
@@ -246,7 +254,9 @@ class _Parser:
             self.pos = i + 1
             value, is_int = self.values[i]  # type: ignore[misc]
             text = self.texts[i]
-            return NumLit(text[:-1] if is_int else text, value, is_int, self.span(i, i))
+            if is_int:  # the spelling without its L, shared like a token's text
+                text = self.tokens.shared.setdefault(text[:-1], text[:-1])
+            return NumLit(text, value, is_int, self.span(i, i))
         if kind == STRING:
             self.pos = i + 1
             return StringLit(self.values[i], self.span(i, i))  # type: ignore[arg-type]
@@ -255,7 +265,7 @@ class _Parser:
             text = self.texts[i]
             if text in _CONSTANTS and not self.tokens.quoted(i):
                 return _CONSTANTS[text](self.span(i, i))
-            return SymbolRef(text, self.span(i, i))
+            return self.symbol(i)
         if kind == KEYWORD:
             return self.parse_keyword()
         text = self.texts[i]
@@ -296,7 +306,7 @@ class _Parser:
         kind = self.kinds[i]
         if kind in (NAME, KEYWORD):
             self.pos = i + 1
-            return SymbolRef(self.texts[i], self.span(i, i))
+            return self.symbol(i)
         if kind == STRING:
             self.pos = i + 1
             return StringLit(self.values[i], self.span(i, i))  # type: ignore[arg-type]
@@ -347,7 +357,7 @@ class _Parser:
 
     def parse_formal(self, closer: str) -> Arg:
         """One formal; without a default it holds R's missing argument."""
-        name = self.texts[self.expect(NAME, what="formal argument name")]
+        name = self.symbol(self.expect(NAME, what="formal argument name")).name
         if not self.at(OP, "="):
             return Arg(SymbolRef(""), name=name)
         self.advance()
@@ -378,9 +388,9 @@ class _Parser:
         if kw == "function":
             args = self.parse_list(")", _Parser.parse_formal)
         elif kw == "for":
-            var = self.expect(NAME, what="loop variable")
+            var = self.symbol(self.expect(NAME, what="loop variable"))
             self.expect(KEYWORD, "in", what="'in'")
-            args = [Arg(SymbolRef(self.texts[var], self.span(var, var))), Arg(self.parse_expr(0))]
+            args = [Arg(var), Arg(self.parse_expr(0))]
         else:
             args = [Arg(self.parse_expr(0))]
         self.expect(OP, ")")
@@ -419,9 +429,9 @@ class _Parser:
         while not self.at(EOF):
             i = self.advance()
             kind, text = self.kinds[i], self.texts[i]
-            if kind == OP and text in ("(", "[", "[[", "{"):
-                depth += 2 if text == "[[" else 1
-            elif kind == OP and text in (")", "]", "}"):
+            if kind == OP and text in lexer._OPENERS:
+                depth += len(lexer._OPENERS[text])  # the delimiters the lexer's stack holds
+            elif kind == OP and text in lexer._CLOSERS:
                 depth = max(0, depth - 1)
             elif kind in (NEWLINE, SEMI) and depth == 0:
                 return

@@ -217,6 +217,45 @@ def test_stray_else_or_in_is_an_error_at_the_keyword(text, keyword, col):
     assert (exc.value.span.start_line, exc.value.span.start_col) == (1, col)
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("function(1) x", "unexpected '1'; expected formal argument name (line 1, col 10)"),
+        ("function(a, ) x", "unexpected ')'; expected formal argument name (line 1, col 13)"),
+        ("function(a = ) 1", "unexpected ')'; expected an expression (line 1, col 14)"),
+    ],
+)
+def test_formals_errors(text, error):
+    result = parse_program(text)
+    assert [str(err) for err in result.errors] == [error]
+    assert not result.exprs and not result.incomplete
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [("x <- ``", 6), ("`` + 1", 1), ("``(1)", 1), ("function(``) 1", 10), ("x$``", 3),
+     ("x::``", 4), ("for (`` in x) y", 6)],
+    ids=["operand", "left-operand", "callee", "formal", "member", "namespace", "for-variable"],
+)
+def test_an_empty_backtick_name_is_a_syntax_error(text, col):
+    # R: "attempt to use zero-length variable name"; an empty symbol is codeweft's
+    # missing argument, which deparses to nothing
+    result = parse_program(f"{text}\ny <- 1")
+    assert [(type(err), err.span.start_line, err.span.start_col) for err in result.errors] == [
+        (RSyntaxError, 1, col)
+    ]
+    assert "zero-length variable name" in str(result.errors[0])
+    assert [(deparse(expr), span.start_line) for expr, span in result.exprs] == [("y <- 1", 2)]
+    assert not result.incomplete
+
+
+def test_an_empty_argument_name_names_the_argument():
+    tree = parse_expr("f(`` = 1)")
+    assert to_json(tree)["args"][0]["name"] == ""
+    assert deparse(tree) == 'f("" = 1)'
+    assert parse_expr(deparse(tree)) == tree
+
+
 def line_by_line(text):
     """`text` parsed a line at a time, as `record` does: an incomplete result resumes."""
     lines = text.split("\n")

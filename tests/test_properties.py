@@ -385,6 +385,14 @@ def test_equal_names_in_a_source_are_one_string(seed):
             assert row.func is first[row.func], (row.func, text)
 
 
+@pytest.mark.parametrize("text", ["10L + 10L", "10L + 10", "10 + 10L", "0x1FL + 0x1FL"])
+def test_equal_number_texts_in_a_source_are_one_string(text):
+    # an integer literal's text drops its L, and keeps the source's shared string
+    left, right = (arg.value for arg in parse_expr(text).args)
+    assert left.text == right.text
+    assert left.text is right.text
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.text(alphabet=_LEX_ALPHABET, max_size=40))
 def test_token_spans_slice_back_to_the_source(text):

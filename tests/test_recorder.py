@@ -243,8 +243,10 @@ _STAGES = 398  # lines between the first and the last of a 400-line paste
         ["(a +", *["  b +"] * _STAGES, "  c)"],
         ["k <- function(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z) NULL"],
         ["f(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z)"],
+        ["x[1,", *[f"  {i}," for i in range(_STAGES)], "]"],
     ],
-    ids=["top-level-chain", "chain-in-function", "parenthesised-sum", "formals", "arguments"],
+    ids=["top-level-chain", "chain-in-function", "parenthesised-sum", "formals", "arguments",
+         "subscripts"],
 )
 def test_recording_a_long_paste_does_bounded_parser_work_per_token(clock, log, monkeypatch, lines):
     # each open construct resumes where it stopped, so no line parses the paste again
