@@ -110,6 +110,8 @@ def test_argument_named_by_the_empty_string_keeps_its_quotes():
     assert tree.args[0].name == ""
     assert deparse(tree) == 'f("" = 1, , x)'
     assert parse_expr(deparse(tree)) == tree
+    # an empty backtick name is an error as a symbol, but names an argument
+    assert parse_expr("f(`` = 1, , x)") == tree
 
 
 def test_nonsyntactic_names_get_backticks():

@@ -249,13 +249,6 @@ def test_an_empty_backtick_name_is_a_syntax_error(text, col):
     assert not result.incomplete
 
 
-def test_an_empty_argument_name_names_the_argument():
-    tree = parse_expr("f(`` = 1)")
-    assert to_json(tree)["args"][0]["name"] == ""
-    assert deparse(tree) == 'f("" = 1)'
-    assert parse_expr(deparse(tree)) == tree
-
-
 def line_by_line(text):
     """`text` parsed a line at a time, as `record` does: an incomplete result resumes."""
     lines = text.split("\n")
