@@ -79,7 +79,7 @@ def top_n_by_group(
     """Per group, the n rows with the highest `n` count.
 
     Rows group by `_groups`. Rows tying the nth-largest count are all
-    retained. Input order is preserved within the output.
+    kept, in input order, so the whole table is held until its last row.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -220,7 +220,7 @@ def cmd_classify(args) -> int:
 
 def _read_table(path: str) -> tuple[Optional[list[str]], list[dict]]:
     """The CSV header (None for JSONL or an empty input) and the rows."""
-    from .textfile import decode, read_local
+    from .textfile import csv_rows, decode, read_local
     text = decode(path, sys.stdin.buffer.read()) if path == "-" else read_local(path)
     if text.lstrip().startswith("{"):
         rows = []
@@ -239,21 +239,9 @@ def _read_table(path: str) -> tuple[Optional[list[str]], list[dict]]:
             rows.append(row)
         return None, rows
     csv.field_size_limit(2**31 - 1)  # a deparsed call or string literal can be any length
-    reader = csv.reader(io.StringIO(text))
-    rows = []
-    try:
-        header = next(reader, None)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(dict(zip(header, row)))
-    except csv.Error as exc:
-        raise SchemaError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from exc
-    return header, rows
+    rows = csv_rows(path, text)
+    header = next(rows)
+    return header, [dict(zip(header, row)) for row, _ in rows]
 
 
 def _check_header(header: Optional[list[str]], wanted: list[str]) -> None:

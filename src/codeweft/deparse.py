@@ -63,9 +63,7 @@ def deparse_arg(arg: Arg) -> str:
 
 
 def _dp_arg(arg: Arg) -> str:
-    if isinstance(arg.value, SymbolRef) and arg.value.name == "" and arg.name is None:
-        return ""  # missing argument slot, as in x[, 1]
-    value = _dp(arg.value, _ARG_BP)
+    value = _dp(arg.value, _ARG_BP)  # '' for a missing argument, as in x[, 1]
     if arg.name is None:
         return value
     # symbol_text leaves the empty name empty, as the missing-argument slot prints
@@ -97,7 +95,7 @@ def _form(expr: Expr) -> tuple[str, int]:
     if isinstance(expr, NullLit):
         return "NULL", _ATOM_BP
 
-    name = expr.callee_name()
+    name = _form_name(expr)
     args = expr.args
     n = len(args)
     positional = not any(a.name for a in args)
@@ -151,12 +149,22 @@ def _form(expr: Expr) -> tuple[str, int]:
     return f"{callee}({', '.join(_dp_arg(a) for a in args)})", _POSTFIX_BP
 
 
+def _form_name(expr: Call) -> str | None:
+    """The callee name that picks a call's form, or None (the call form) for an empty operand."""
+    name, args = expr.callee_name(), expr.args
+    operands = args[:1] if name in ("[", "[[") else args[-1:] if name == "function" else args
+    for a in operands:
+        if isinstance(a.value, SymbolRef) and not a.value.name:
+            return None
+    return name
+
+
 def _binary_power(expr: Expr) -> tuple[int, bool] | None:
     """(binding power, right-associative) of an infix or `%op%` call with
     two positional arguments; None for any other form."""
     if not isinstance(expr, Call) or len(expr.args) != 2 or expr.args[0].name or expr.args[1].name:
         return None
-    name = expr.callee_name()
+    name = _form_name(expr)
     if name and _SPECIAL_RE.match(name):
         return _SPECIAL_BP, False
     return _INFIX.get(name)  # type: ignore[arg-type]

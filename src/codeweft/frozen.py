@@ -4,8 +4,8 @@ A subclass names its fields in `__slots__`, in constructor order, and
 the ones that take part in equality and hashing in `_compared`. Its own
 `__init__` is its only constructor: it fills the slots through the
 member-descriptor setters that `setters` returns, since assignment and
-deletion raise `AttributeError`. Instances pickle and deep-copy by
-calling the constructor again.
+deletion raise `AttributeError`. Instances pickle by calling the
+constructor again, and copy as themselves, as a tuple of immutables does.
 """
 
 import functools
@@ -38,6 +38,10 @@ class Frozen:
 
     def __reduce__(self) -> tuple:
         return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __copy__(self, memo: object = None) -> "Frozen":  # deepcopy passes a memo
+        return self
+    __deepcopy__ = __copy__
 
 
 def setters(cls: type) -> list:

@@ -8,8 +8,6 @@ pointing CODEWEFT_LEXICON_PATH at a directory with replacement
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -22,7 +20,7 @@ from .errors import (
     UnknownLexicon,
 )
 from .frozen import Frozen, nogc, setters
-from .textfile import read_local
+from .textfile import csv_rows, read_local
 from .unnest import FuncToken
 
 CATEGORIES = frozenset(
@@ -92,37 +90,34 @@ def load_classifications(
     if which is not None and which not in LEXICON_NAMES:
         raise UnknownLexicon(f"unknown lexicon {which!r}; expected one of {sorted(LEXICON_NAMES)}")
 
+    rows = csv_rows(str(path), _read_text("lexicon", path))
+    if (header := next(rows)) != _HEADER:
+        raise SchemaError(f"{path}: bad lexicon header {header!r}; expected {_HEADER!r}")
     entries: list[ClassificationEntry] = []
-    reader = csv.reader(io.StringIO(_read_text("lexicon", path)))
-    try:
-        header = next(reader, None)
-        rows = list(reader)
-    except csv.Error as exc:
-        raise SchemaError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from exc
-    if header != _HEADER:
-        raise SchemaError(f"bad lexicon header {header!r}; expected {_HEADER!r}")
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise SchemaError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-        func, classification, lexicon, score_text = row
+    seen = set()
+    sums: dict[tuple[str, str], float] = {}
+    for (func, classification, lexicon, score_text), line in rows:
         if not func:
-            raise SchemaError(f"{path}:{lineno}: empty func")
+            raise SchemaError(f"{path}:{line}: empty func")
         if classification not in CATEGORIES:
-            raise UnknownCategory(f"{path}:{lineno}: unknown category {classification!r}")
+            raise UnknownCategory(f"{path}:{line}: unknown category {classification!r}")
         if lexicon not in LEXICON_NAMES:
-            raise UnknownLexicon(f"{path}:{lineno}: unknown lexicon {lexicon!r}")
+            raise UnknownLexicon(f"{path}:{line}: unknown lexicon {lexicon!r}")
         try:
             score = float(score_text)
         except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: bad score {score_text!r}") from exc
+            raise SchemaError(f"{path}:{line}: bad score {score_text!r}") from exc
         if not 0 < score <= 1:
-            raise ScoreOutOfRange(f"{path}:{lineno}: score {score} outside (0, 1]")
+            raise ScoreOutOfRange(f"{path}:{line}: score {score} outside (0, 1]")
+        key = (func, classification, lexicon)
+        if key in seen:
+            raise SchemaError(f"{path}:{line}: duplicate lexicon row {key!r}")
+        seen.add(key)
+        sums[func, lexicon] = sums.get((func, lexicon), 0.0) + score
         entries.append(ClassificationEntry(func, classification, lexicon, score))
-
-    _check_unique(entries)
-    _check_normalization(entries)
+    for (func, lexicon), total in sums.items():
+        if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
+            raise SchemaError(f"{path}: scores for ({func!r}, {lexicon}) sum to {total:.4f}, not 1")
 
     if which is not None:
         entries = [e for e in entries if e.lexicon == which]
@@ -131,41 +126,15 @@ def load_classifications(
     return entries
 
 
-def _check_unique(entries: Sequence[ClassificationEntry]) -> None:
-    seen = set()
-    for e in entries:
-        key = (e.func, e.classification, e.lexicon)
-        if key in seen:
-            raise SchemaError(f"duplicate lexicon row {key!r}")
-        seen.add(key)
-
-
-def _check_normalization(entries: Sequence[ClassificationEntry]) -> None:
-    sums: dict[tuple[str, str], float] = {}
-    for e in entries:
-        key = (e.func, e.lexicon)
-        sums[key] = sums.get(key, 0.0) + e.score
-    for (func, lexicon), total in sums.items():
-        if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
-            raise SchemaError(
-                f"scores for ({func!r}, {lexicon}) sum to {total:.4f}, not 1"
-            )
-
-
 def best_classifications(
     entries: Iterable[ClassificationEntry],
 ) -> list[ClassificationEntry]:
     """Highest-scoring entry per (func, lexicon); score ties break by name."""
     best: dict[tuple[str, str], ClassificationEntry] = {}
     for e in entries:
-        key = (e.func, e.lexicon)
-        cur = best.get(key)
-        if (
-            cur is None
-            or e.score > cur.score
-            or (e.score == cur.score and e.classification < cur.classification)
-        ):
-            best[key] = e
+        cur = best.setdefault((e.func, e.lexicon), e)
+        if (-e.score, e.classification) < (-cur.score, cur.classification):
+            best[e.func, e.lexicon] = e
     return list(best.values())
 
 
@@ -190,7 +159,7 @@ def classify(
 
 
 def load_stopfuncs(source: Optional[str | Path] = None) -> frozenset[str]:
-    """Newline-delimited function names; `#` starts a comment."""
+    """One function name a line; a line starting with `#` is a comment, a later `#` (`%#%`) is kept."""
     path = Path(source) if source is not None else _data_path("stopfuncs.txt")
     funcs = set()
     for raw in _read_text("stopfuncs", path).splitlines():

@@ -215,6 +215,14 @@ def to_json(expr: Expr) -> dict:
 
 
 def from_json(data: dict) -> Expr:
+    """The tree `to_json` dumped. The empty symbol, R's missing argument, is
+    accepted only as an argument's value: no text holds it as a callee or a tree."""
+    if data == {"kind": "symbol", "name": ""}:
+        raise ValueError("an empty symbol outside an argument's value")
+    return _from_json(data)
+
+
+def _from_json(data: dict) -> Expr:
     kind = data["kind"]
     if kind == "null":
         return NullLit()
@@ -228,6 +236,6 @@ def from_json(data: dict) -> Expr:
     if kind == "symbol":
         return SymbolRef(data["name"])
     if kind == "call":
-        args = tuple(Arg(from_json(a["value"]), a.get("name")) for a in data["args"])
+        args = tuple(Arg(_from_json(a["value"]), a.get("name")) for a in data["args"])
         return Call(from_json(data["callee"]), args)
     raise ValueError(f"unknown node kind {kind!r}")

@@ -52,6 +52,7 @@ class SessionEvent(Frozen):
     """One logged event: a session boundary or an expression."""
 
     __slots__ = _compared = ("kind", "dt", "expr_text", "meta")
+    __deepcopy__ = None  # `meta` is a dict: deep-copy it through `__reduce__`
 
     def __init__(self, kind: str, dt: datetime, expr_text: str = "",
                  meta: Optional[dict] = None):

@@ -1,10 +1,13 @@
-"""Read local files and raw bytes as UTF-8 text; a failed read is an `IoError`."""
+"""Read local files and raw bytes as UTF-8 text, and CSV text as checked rows."""
 
 from __future__ import annotations
 
+import csv
+import io
 from pathlib import Path
+from typing import Iterator
 
-from .errors import IoError
+from .errors import IoError, SchemaError
 
 
 def decode(source: str, data: bytes) -> str:
@@ -21,3 +24,21 @@ def read_local(path: str) -> str:
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
     return decode(path, data)
+
+
+def csv_rows(path: str, text: str) -> Iterator:
+    """Lazily, the header of CSV `text` (None if empty), then each non-blank
+    row as `(fields, line)` with the line it ends on. A row whose field count
+    differs from the header's, or malformed CSV, is a `SchemaError` at `path:line`."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader, None)
+        yield header
+        for row in filter(None, reader):  # a blank line is an empty row
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield row, reader.line_num
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: malformed CSV: {exc}") from exc

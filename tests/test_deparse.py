@@ -2,7 +2,7 @@ import pytest
 
 from codeweft.deparse import deparse, escape_string, symbol_text
 from codeweft.parser import parse_expr
-from codeweft.rast import Arg, Call, NumLit, SymbolRef, call, strip_parens
+from codeweft.rast import Arg, Call, NumLit, SymbolRef, call, from_json, strip_parens, to_json
 
 
 @pytest.mark.parametrize(
@@ -112,6 +112,39 @@ def test_argument_named_by_the_empty_string_keeps_its_quotes():
     assert parse_expr(deparse(tree)) == tree
     # an empty backtick name is an error as a symbol, but names an argument
     assert parse_expr("f(`` = 1, , x)") == tree
+
+
+@pytest.mark.parametrize(
+    "tree", [Call(SymbolRef(""), (Arg(NumLit.of(1)),)), SymbolRef("")], ids=["callee", "whole-tree"]
+)
+def test_from_json_rejects_an_empty_symbol_outside_an_argument(tree):
+    # no text holds it: the empty callee would print as `(1)`, the whole tree as nothing
+    with pytest.raises(ValueError, match="empty symbol"):
+        from_json(to_json(tree))
+
+
+HOLE = SymbolRef("")
+
+
+@pytest.mark.parametrize(
+    "tree, text",
+    [
+        (parse_expr("x[, 1]"), "x[, 1]"),
+        (parse_expr("x[]"), "x[]"),
+        (parse_expr("function(a, b = 1) a"), "function(a, b = 1) a"),
+        # an operand prints as a call: ` + 1` would read back as a unary plus
+        (call("+", HOLE, NumLit.of(1)), "`+`(, 1)"),
+        (call("+", call("+", SymbolRef("x"), HOLE), NumLit.of(1)), "`+`(x, ) + 1"),
+        (call("if", HOLE, NumLit.of(1)), "`if`(, 1)"),
+        (call("[", HOLE, NumLit.of(1)), "`[`(, 1)"),
+    ],
+    ids=["index", "empty-index", "formal", "operand", "operand-on-a-chain", "condition", "object"],
+)
+def test_an_empty_symbol_as_an_argument_loads_and_round_trips(tree, text):
+    loaded = from_json(to_json(tree))
+    assert loaded == tree
+    assert deparse(loaded) == text
+    assert parse_expr(text) == tree
 
 
 def test_nonsyntactic_names_get_backticks():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from codeweft.corpus import read_rfiles
@@ -76,37 +78,40 @@ def test_best_classifications_argmax():
 def test_bad_lexicon_files(tmp_path):
     header = "func,classification,lexicon,score\n"
 
-    bad_header = tmp_path / "h.csv"
-    bad_header.write_text("a,b,c\nx,setup,crowdsource,1\n")
-    with pytest.raises(SchemaError):
-        load_classifications(bad_header)
+    def refused(name, text, error, where, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(error, match=f"^{re.escape(f'{path}{where}: {message}')}"):
+            load_classifications(path)
 
-    bad_cat = tmp_path / "cat.csv"
-    bad_cat.write_text(header + "x,cooking,crowdsource,1\n")
-    with pytest.raises(UnknownCategory):
-        load_classifications(bad_cat)
-
-    bad_lex = tmp_path / "lex.csv"
-    bad_lex.write_text(header + "x,setup,wikipedia,1\n")
-    with pytest.raises(UnknownLexicon):
-        load_classifications(bad_lex)
-
-    bad_score = tmp_path / "score.csv"
-    bad_score.write_text(header + "x,setup,crowdsource,1.5\n")
-    with pytest.raises(ScoreOutOfRange):
-        load_classifications(bad_score)
-
-    dup = tmp_path / "dup.csv"
-    dup.write_text(
-        header + "x,setup,crowdsource,0.5\nx,setup,crowdsource,0.5\n"
+    refused("h.csv", "a,b,c\nx,setup,crowdsource,1\n", SchemaError, "", "bad lexicon header")
+    refused("cat.csv", header + "x,cooking,crowdsource,1\n", UnknownCategory, ":2", "unknown category")
+    refused("lex.csv", header + "x,setup,wikipedia,1\n", UnknownLexicon, ":2", "unknown lexicon")
+    refused("score.csv", header + "x,setup,crowdsource,1.5\n", ScoreOutOfRange, ":2", "score 1.5")
+    refused(
+        "dup.csv",
+        header + "x,setup,crowdsource,0.5\nx,setup,crowdsource,0.5\n",
+        SchemaError,
+        ":3",
+        "duplicate lexicon row ('x', 'setup', 'crowdsource')",
     )
-    with pytest.raises(SchemaError):
-        load_classifications(dup)
-
-    not_normal = tmp_path / "norm.csv"
-    not_normal.write_text(header + "x,setup,crowdsource,0.4\n")
-    with pytest.raises(SchemaError):
-        load_classifications(not_normal)
+    refused("norm.csv", header + "x,setup,crowdsource,0.4\n", SchemaError, "", "scores for ('x'")
+    # a row is reported at the line it ends on, past a field that spans two lines
+    refused(
+        "multiline.csv",
+        header + '"a\nb",setup,crowdsource,1\nx,setup,crowdsource,1\ny,cooking,crowdsource,1\n',
+        UnknownCategory,
+        ":5",
+        "unknown category 'cooking'",
+    )
+    # the first faulty row wins, whatever its fault
+    refused(
+        "first.csv",
+        header + "x,setup,crowdsource,1\nx,setup,crowdsource,1\ny,setup\n",
+        SchemaError,
+        ":3",
+        "duplicate lexicon row",
+    )
 
 
 def test_classify_is_inner_join(tokens):

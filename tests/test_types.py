@@ -129,6 +129,21 @@ def test_trees_and_rows_survive_pickle_and_deepcopy(clone):
     assert clone(EVENT) == EVENT
 
 
+def test_immutable_values_copy_as_themselves():
+    tree = parse_expr("y <- f(x = 1L)[[2]]")
+    values = [tree, tree.args[0], tree.span, CallRecord("a.R", tree, 1), ENTRY,
+              *unnest_calls(CallRecord("a.R", tree, 1))]
+    for value in values:
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+    chain = parse_expr("x" + " %>% f()" * 1000)
+    assert copy.deepcopy(chain) is chain
+    # an event's meta is a dict, so a deep copy is a new event with a new dict
+    copied = copy.deepcopy(EVENT)
+    assert copied == EVENT
+    assert copied.meta is not EVENT.meta
+
+
 @pytest.mark.xfail(strict=True, raises=RecursionError,
                    reason="==, hash, repr, pickle and deepcopy recurse down a chain's left spine")
 def test_a_long_chain_compares_hashes_prints_pickles_and_copies():
