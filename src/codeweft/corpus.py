@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .errors import HttpError, IoError
 from .frozen import Frozen, setters
+from .rast import Expr, start_line
 from .textfile import read_local
-
-if TYPE_CHECKING:
-    from .rast import Expr
 
 STRING_SOURCE = "<string>"
 
@@ -78,8 +76,8 @@ def parse_source_text(source_id: str, text: str) -> ReadResult:
     from .parser import parse_program
     result = ReadResult()
     program = parse_program(text)
-    for expr, span in program.exprs:
-        result.records.append(CallRecord(file=source_id, expr=expr, line=span.start_line))
+    for expr in program.trees:
+        result.records.append(CallRecord(file=source_id, expr=expr, line=start_line(expr)))
     for err in program.errors:
         err.source = source_id
         result.errors.append(err)

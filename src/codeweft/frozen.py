@@ -1,11 +1,13 @@
 """The one base of the immutable value types: tree nodes, spans and rows.
 
 A subclass names its fields in `__slots__`, in constructor order, and
-the ones that take part in equality and hashing in `_compared`. Its own
-`__init__` is its only constructor: it fills the slots through the
-member-descriptor setters that `setters` returns, since assignment and
-deletion raise `AttributeError`. Instances pickle by calling the
-constructor again, and copy as themselves, as a tuple of immutables does.
+the ones that take part in equality and hashing in `_compared`. One that
+keeps a field in a private form overrides `_fields`, the names that
+`repr` and pickle read, in constructor order. Its own `__init__` is its
+only constructor: it fills the slots through the member-descriptor
+setters that `setters` returns, since assignment and deletion raise
+`AttributeError`. Instances pickle by calling the constructor again, and
+copy as themselves, as a tuple of immutables does.
 """
 
 import functools
@@ -32,12 +34,15 @@ class Frozen:
     def __hash__(self) -> int:
         return hash(self._key())
 
+    def _fields(self) -> tuple[str, ...]:
+        return self.__slots__
+
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return type(self), tuple([getattr(self, name) for name in self._fields()])
 
     def __copy__(self, memo: object = None) -> "Frozen":  # deepcopy passes a memo
         return self

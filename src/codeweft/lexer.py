@@ -90,7 +90,8 @@ class Tokens:
     `values[i]` (for a NEWLINE, whether a `{` block is open); it runs from
     line `lines[i]`, column `cols[i]` to line `end_lines[i]`, column
     `end_cols[i]`, the bounds of its span. `len()` is the token count; the
-    parser reads the lists and builds a span only for what it keeps. `stack`,
+    parser reads the lists, packs the positions of the nodes it keeps and
+    builds a `SrcSpan` only for an error. `stack`,
     `line` and `line_start` are where `scan` stopped: for a scan a lexer
     error cut, at the start of the token that raised. Equal texts are one
     object: `shared` maps each text to the first string scanned with it, so
@@ -125,6 +126,15 @@ class Tokens:
         return SrcSpan(
             self.lines[first], self.cols[first], self.end_lines[last], self.end_cols[last]
         )
+
+    def position(self, first: int, last: int) -> int | SrcSpan:
+        """`span(first, last)` packed as a tree node keeps it (`codeweft.rast`),
+        or that `SrcSpan` where the start line or a column is too wide to pack."""
+        start_col, end_col = self.cols[first], self.end_cols[last]
+        start = self.lines[first] << 14 | start_col
+        if start_col | end_col < 1 << 14 and start < 1 << 30:
+            return ((self.end_lines[last] << 14 | end_col) - start) << 30 | start
+        return self.span(first, last)
 
     def quoted(self, i: int) -> bool:
         """Whether token i is a backtick-quoted name, two characters wider than its text."""

@@ -87,48 +87,54 @@ _OPERATOR_BP: dict[str, tuple[int, bool]] = {
 # still have stack to spare.
 MAX_NESTING = 100
 
-# each constant's literal, built from its source span
+# each constant's literal, built from its packed source position
 _CONSTANTS = {
-    "TRUE": lambda span: LogicalLit(True, span),
-    "FALSE": lambda span: LogicalLit(False, span),
-    "NA": lambda span: LogicalLit(None, span),
+    "TRUE": lambda pos: LogicalLit(True, pos),
+    "FALSE": lambda pos: LogicalLit(False, pos),
+    "NA": lambda pos: LogicalLit(None, pos),
     "NULL": NullLit,
-    "Inf": lambda span: NumLit("Inf", math.inf, span=span),
-    "NaN": lambda span: NumLit("NaN", math.nan, span=span),
+    "Inf": lambda pos: NumLit("Inf", math.inf, span=pos),
+    "NaN": lambda pos: NumLit("NaN", math.nan, span=pos),
 }
 
 
 class ProgramResult:
     """Top-level expressions plus per-expression syntax errors.
 
-    `incomplete` is True when more input could repair the text: its first
-    error is an end of input mid-expression, or a string or backtick name
-    cut by the end of the text. A lexer error ends the tokens, and the
-    expression it cuts off fails with it; the expressions before it keep
-    their records.
+    `trees` holds the expressions; `exprs` pairs each with its span, built
+    when read, so a caller that needs no span builds none. `incomplete` is
+    True when more input could repair the text: its first error is an end
+    of input mid-expression, or a string or backtick name cut by the end
+    of the text. A lexer error ends the tokens, and the expression it cuts
+    off fails with it; the expressions before it keep their records.
     """
 
-    def __init__(self, exprs: list[tuple[Expr, SrcSpan]] | None = None,
+    def __init__(self, trees: list[Expr] | None = None,
                  errors: list[SourceError] | None = None, incomplete: bool = False,
                  parser: _Parser | None = None):
-        self.exprs = [] if exprs is None else exprs
+        self.trees = [] if trees is None else trees
         self.errors = [] if errors is None else errors
         self.incomplete = incomplete
         # an incomplete parse stopped at the end of its text, for resume_program
         self._parser = parser
 
+    @property
+    def exprs(self) -> list[tuple[Expr, SrcSpan]]:
+        return [(expr, expr.span) for expr in self.trees]  # type: ignore[misc]
+
 
 class _Parser:
     """Recursive descent over the parallel lists of a `lexer.Tokens`.
 
-    Tokens are addressed by index; a `SrcSpan` is built only for a tree
-    node or an error. `node` is the one owner of the span rule: a node runs
-    from its first token to the last one consumed, `self.pos - 1` once it
-    is parsed. That token is never before the first, so a node span is
-    ordered by construction and always passes `SrcSpan`'s check.
+    Tokens are addressed by index. A tree node gets its position packed
+    (`position`), and a `SrcSpan` is built only for an error. `node` is the
+    one owner of the span rule: a node runs from its first token to the
+    last one consumed, `self.pos - 1` once it is parsed. That token is never
+    before the first, so a node span is ordered by construction and always
+    passes the nodes' check.
     """
 
-    __slots__ = ("text", "tokens", "kinds", "texts", "values", "span", "pos", "depth", "resumes",
+    __slots__ = ("text", "tokens", "kinds", "texts", "values", "position", "pos", "depth", "resumes",
                  "cut")
 
     def __init__(self, tokens: Tokens, text: str, cut: SourceError | None = None):
@@ -138,7 +144,7 @@ class _Parser:
         self.kinds = tokens.kinds + [EOF]
         self.texts = tokens.texts + [""]
         self.values = tokens.values
-        self.span = tokens.span
+        self.position = tokens.position
         self.pos = 0
         self.depth = 0  # parse_expr calls open
         # where to resume the constructs open where the input ran out, innermost
@@ -178,7 +184,7 @@ class _Parser:
         i = self.pos
         if self.kinds[i] == EOF:
             return SrcSpan(self.tokens.line, 1, self.tokens.line, 1)
-        return self.span(i, i)
+        return self.tokens.span(i, i)
 
     def fail(self, expected: str) -> NoReturn:
         if self.kinds[self.pos] == EOF:
@@ -191,14 +197,14 @@ class _Parser:
         codeweft's empty symbol is the missing argument."""
         text = self.texts[i]
         if not text:
-            raise RSyntaxError("attempt to use zero-length variable name", self.span(i, i))
-        return SymbolRef(text, self.span(i, i))
+            raise RSyntaxError("attempt to use zero-length variable name", self.tokens.span(i, i))
+        return SymbolRef(text, self.position(i, i))
 
     def node(self, op: int, args: Sequence[Arg], first: int, name: str | None = None) -> Call:
         """The call of operator or keyword token `op` (called `name` if given),
         spanning token `first` through the last token consumed."""
-        callee = SymbolRef(name or self.texts[op], self.span(op, op))
-        return Call(callee, tuple(args), self.span(first, self.pos - 1))
+        callee = SymbolRef(name or self.texts[op], self.position(op, op))
+        return Call(callee, tuple(args), self.position(first, self.pos - 1))
 
     # --- expressions ----------------------------------------------------
 
@@ -256,15 +262,15 @@ class _Parser:
             text = self.texts[i]
             if is_int:  # the spelling without its L, shared like a token's text
                 text = self.tokens.shared.setdefault(text[:-1], text[:-1])
-            return NumLit(text, value, is_int, self.span(i, i))
+            return NumLit(text, value, is_int, self.position(i, i))
         if kind == STRING:
             self.pos = i + 1
-            return StringLit(self.values[i], self.span(i, i))  # type: ignore[arg-type]
+            return StringLit(self.values[i], self.position(i, i))  # type: ignore[arg-type]
         if kind == NAME:
             self.pos = i + 1
             text = self.texts[i]
             if text in _CONSTANTS and not self.tokens.quoted(i):
-                return _CONSTANTS[text](self.span(i, i))
+                return _CONSTANTS[text](self.position(i, i))
             return self.symbol(i)
         if kind == KEYWORD:
             return self.parse_keyword()
@@ -309,7 +315,7 @@ class _Parser:
             return self.symbol(i)
         if kind == STRING:
             self.pos = i + 1
-            return StringLit(self.values[i], self.span(i, i))  # type: ignore[arg-type]
+            return StringLit(self.values[i], self.position(i, i))  # type: ignore[arg-type]
         self.fail("a name or string")
 
     def parse_suffix_call(self, callee: Expr, first: int) -> Expr:
@@ -322,7 +328,7 @@ class _Parser:
         if text == "[[":
             self.expect(OP, "]", what="']]'")
         if text == "(":
-            return Call(callee, tuple(args), self.span(first, self.pos - 1))
+            return Call(callee, tuple(args), self.position(first, self.pos - 1))
         # an empty subscript keeps R's missing-argument slot: x[] has one
         return self.node(i, [Arg(callee), *(args or [Arg(SymbolRef(""))])], first)
 
@@ -344,16 +350,18 @@ class _Parser:
             raise
 
     def parse_arg(self, closer: str) -> Arg:
-        """One argument; an empty slot before a comma or `closer` is R's missing argument."""
+        """One argument, maybe named; an empty value before a comma or `closer`
+        is R's missing argument (`x[, 1]`, `alist(x = )`)."""
         i = self.pos
         kind = self.kinds[i]
+        name = None
         if kind in (NAME, STRING) and self.kinds[i + 1] == OP and self.texts[i + 1] == "=":
             self.pos = i + 2
             name = self.texts[i] if kind == NAME else self.values[i]
-            return Arg(self.parse_body(), name)  # type: ignore[arg-type]
+            self.skip_newlines()
         if self.at(OP, ",") or self.at(OP, closer):
-            return Arg(SymbolRef(""))
-        return Arg(self.parse_expr(0))
+            return Arg(SymbolRef(""), name)  # type: ignore[arg-type]
+        return Arg(self.parse_expr(0), name)  # type: ignore[arg-type]
 
     def parse_formal(self, closer: str) -> Arg:
         """One formal; without a default it holds R's missing argument."""
@@ -415,13 +423,13 @@ class _Parser:
 
     # --- program level --------------------------------------------------
 
-    def parse_top_level(self) -> tuple[Expr, SrcSpan]:
+    def parse_top_level(self) -> Expr:
         self.depth = 0  # an error may have left parse_expr calls unclosed
         expr = self.parse_expr(0)
         # the end of tokens a lexer error cut ends no expression
         if not (self.at(NEWLINE) or self.at(SEMI) or self.at(EOF) and self.cut is None):
             self.fail("newline, ';' or end of input")
-        return expr, expr.span  # type: ignore[return-value]
+        return expr
 
     def resync(self) -> None:
         """Skip to the next top-level expression boundary after an error."""
@@ -459,7 +467,7 @@ def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None) -> Program
         if parser.at(EOF) and parser.cut is None:
             break
         try:
-            result.exprs.append(parser.parse_top_level())
+            result.trees.append(parser.parse_top_level())
         except SourceError as err:
             # errors are kept without their traceback, whose frames would hold
             # the result and make every failed parse a reference cycle
@@ -499,7 +507,7 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
             routine(parser, *arguments)
         except IncompleteInput as err:
             parser.resumes += resumes[i + 1 :]
-            return ProgramResult(list(result.exprs), [err.with_traceback(None)], True, parser)
+            return ProgramResult(list(result.trees), [err.with_traceback(None)], True, parser)
         except SourceError:
             break
     return _parse_tokens(tokens, text, cut)
@@ -512,7 +520,7 @@ def parse_expr(text: str) -> Expr:
     parser.skip_newlines()
     if parser.at(EOF):
         raise RSyntaxError("empty input", None, "an expression")
-    expr, _ = parser.parse_top_level()
+    expr = parser.parse_top_level()
     parser.skip_separators()
     if not parser.at(EOF):
         raise MultipleExpressions("input contains more than one expression")

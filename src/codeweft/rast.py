@@ -33,37 +33,86 @@ class SrcSpan(Frozen):
             raise ValueError(f"backwards span: {self}")
 
 
-class NullLit(Frozen):
+# A node keeps its span in a private slot, packed into one int: the start
+# (line << 14 | column) in the low 30 bits, and above them how far the end
+# (line << 14 | column) lies past the start. A backwards span packs to a
+# negative int, so the constructors check a packed span inline as
+# `SrcSpan` checks its bounds; the distance has no bound, so neither has the
+# end line. A span whose start line reaches 2**16, or a column 2**14, stays
+# a `SrcSpan` in the slot. `lexer.Tokens.position` packs token positions.
+Position = Union[int, SrcSpan, None]
+
+
+def _unpack(pos: int) -> SrcSpan:
+    start = pos & 0x3FFFFFFF
+    end = start + (pos >> 30)
+    return SrcSpan(start >> 14, start & 0x3FFF, end >> 14, end & 0x3FFF)
+
+
+def _pack(span: Position) -> Position:
+    """The slot form of a span that is not a packed ordered int: a `SrcSpan`
+    packed when its bounds fit, or kept as it is."""
+    if span.__class__ is int:  # backwards: SrcSpan raises its ValueError
+        _unpack(span)
+    if (isinstance(span, SrcSpan) and 0 <= span.start_line < 1 << 16
+            and 0 <= span.start_col < 1 << 14 and 0 <= span.end_col < 1 << 14):
+        start = span.start_line << 14 | span.start_col
+        return ((span.end_line << 14 | span.end_col) - start) << 30 | start
+    return span
+
+
+def start_line(node: _Spanned) -> int:
+    """The first line of a spanned node's span, read without building the span."""
+    pos = node._pos
+    return pos >> 14 & 0xFFFF if pos.__class__ is int else pos.start_line
+
+
+class _Spanned(Frozen):
+    """A node with a source span: its last constructor argument, a `SrcSpan`,
+    None, or a `Tokens.position` int, kept in its last slot, `_pos`. `span`
+    builds the `SrcSpan` when read."""
+
+    __slots__ = ()
+
+    @property
+    def span(self) -> Optional[SrcSpan]:
+        pos = self._pos
+        return _unpack(pos) if pos.__class__ is int else pos
+
+    def _fields(self) -> tuple[str, ...]:
+        return (*self.__slots__[:-1], "span")
+
+
+class NullLit(_Spanned):
     """R's NULL."""
 
-    __slots__ = ("span",)
+    __slots__ = ("_pos",)
 
-    def __init__(self, span: Optional[SrcSpan] = None):
-        _null_span(self, span)
+    def __init__(self, span: Position = None):
+        _null_pos(self, span if span.__class__ is int and span >= 0 else _pack(span))
 
 
-class LogicalLit(Frozen):
+class LogicalLit(_Spanned):
     """TRUE / FALSE / NA (value None means NA)."""
 
-    __slots__ = ("value", "span")
+    __slots__ = ("value", "_pos")
     _compared = ("value",)
 
-    def __init__(self, value: Optional[bool], span: Optional[SrcSpan] = None):
+    def __init__(self, value: Optional[bool], span: Position = None):
         _logical_value(self, value)
-        _logical_span(self, span)
+        _logical_pos(self, span if span.__class__ is int and span >= 0 else _pack(span))
 
 
-class NumLit(Frozen):
+class NumLit(_Spanned):
     """Numeric literal keeping its source spelling for faithful deparse."""
 
-    __slots__ = ("text", "value", "is_int", "span")
+    __slots__ = ("text", "value", "is_int", "_pos")
 
-    def __init__(self, text: str, value: float, is_int: bool = False,
-                 span: Optional[SrcSpan] = None):
+    def __init__(self, text: str, value: float, is_int: bool = False, span: Position = None):
         _num_text(self, text)
         _num_value(self, value)
         _num_is_int(self, is_int)  # carried an L suffix
-        _num_span(self, span)
+        _num_pos(self, span if span.__class__ is int and span >= 0 else _pack(span))
 
     def __eq__(self, other: object) -> bool:
         # compare by value, not spelling; NaN literals compare equal
@@ -91,26 +140,26 @@ class NumLit(Frozen):
         return NumLit(text=text, value=float(value), is_int=is_int)
 
 
-class StringLit(Frozen):
+class StringLit(_Spanned):
     """A string literal with its escapes decoded."""
 
-    __slots__ = ("value", "span")
+    __slots__ = ("value", "_pos")
     _compared = ("value",)
 
-    def __init__(self, value: str, span: Optional[SrcSpan] = None):
+    def __init__(self, value: str, span: Position = None):
         _string_value(self, value)
-        _string_span(self, span)
+        _string_pos(self, span if span.__class__ is int and span >= 0 else _pack(span))
 
 
-class SymbolRef(Frozen):
+class SymbolRef(_Spanned):
     """A name. The empty name is R's missing argument (as in `x[, 1]`)."""
 
-    __slots__ = ("name", "span")
+    __slots__ = ("name", "_pos")
     _compared = ("name",)
 
-    def __init__(self, name: str, span: Optional[SrcSpan] = None):
+    def __init__(self, name: str, span: Position = None):
         _symbol_name(self, name)
-        _symbol_span(self, span)
+        _symbol_pos(self, span if span.__class__ is int and span >= 0 else _pack(span))
 
 
 class Arg(Frozen):
@@ -123,16 +172,16 @@ class Arg(Frozen):
         _arg_name(self, name)
 
 
-class Call(Frozen):
+class Call(_Spanned):
     """A callee applied to arguments: every operator, brace and keyword too."""
 
-    __slots__ = ("callee", "args", "span")
+    __slots__ = ("callee", "args", "_pos")
     _compared = ("callee", "args")
 
-    def __init__(self, callee: Expr, args: tuple[Arg, ...] = (), span: Optional[SrcSpan] = None):
+    def __init__(self, callee: Expr, args: tuple[Arg, ...] = (), span: Position = None):
         _call_callee(self, callee)
         _call_args(self, args)
-        _call_span(self, span)
+        _call_pos(self, span if span.__class__ is int and span >= 0 else _pack(span))
 
     def callee_name(self) -> Optional[str]:
         return self.callee.name if isinstance(self.callee, SymbolRef) else None
@@ -140,13 +189,13 @@ class Call(Frozen):
 
 # the slot setters through which each constructor above fills its instance
 _start_line, _start_col, _end_line, _end_col = setters(SrcSpan)
-(_null_span,) = setters(NullLit)
-_logical_value, _logical_span = setters(LogicalLit)
-_num_text, _num_value, _num_is_int, _num_span = setters(NumLit)
-_string_value, _string_span = setters(StringLit)
-_symbol_name, _symbol_span = setters(SymbolRef)
+(_null_pos,) = setters(NullLit)
+_logical_value, _logical_pos = setters(LogicalLit)
+_num_text, _num_value, _num_is_int, _num_pos = setters(NumLit)
+_string_value, _string_pos = setters(StringLit)
+_symbol_name, _symbol_pos = setters(SymbolRef)
 _arg_value, _arg_name = setters(Arg)
-_call_callee, _call_args, _call_span = setters(Call)
+_call_callee, _call_args, _call_pos = setters(Call)
 
 Expr = Union[NullLit, LogicalLit, NumLit, StringLit, SymbolRef, Call]
 
@@ -182,7 +231,7 @@ def strip_parens(expr: Expr) -> Expr:
     return Call(
         strip_parens(expr.callee),
         tuple(Arg(strip_parens(a.value), a.name) for a in expr.args),
-        expr.span,
+        expr._pos,
     )
 
 

@@ -205,7 +205,7 @@ def log_table(log_path: Optional[str | Path] = None) -> list[dict]:
             expr = "<session info>"
         elif event.meta.get("parsed"):
             program = parse_program(event.expr_text)
-            expr = "; ".join(deparse(e) for e, _ in program.exprs) or event.expr_text
+            expr = "; ".join(deparse(e) for e in program.trees) or event.expr_text
         else:
             expr = event.expr_text
         dt = event.dt.isoformat(timespec="milliseconds")

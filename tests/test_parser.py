@@ -18,8 +18,10 @@ from codeweft.errors import (
 )
 from codeweft.parser import MAX_NESTING, is_complete, parse_expr, parse_program, resume_program
 from codeweft.rast import (
+    Arg,
     Call,
     NumLit,
+    SrcSpan,
     StringLit,
     SymbolRef,
     call,
@@ -30,6 +32,8 @@ from codeweft.rast import (
 )
 from codeweft.unnest import unnest_calls
 from nesting_forms import NESTED
+
+HOLE = SymbolRef("")  # R's missing argument
 
 
 def test_golden_corpus(parser_goldens):
@@ -56,7 +60,8 @@ def test_every_parsed_node_has_a_span(parser_goldens):
     # only the missing-argument slots go without, and they are never operands
     for entry in parser_goldens:
         for expr, span in parse_program(entry["src"]).exprs:
-            assert span is expr.span is not None, entry["src"]
+            # a span is built when read, so each read is a new, equal SrcSpan
+            assert isinstance(span, SrcSpan) and span == expr.span, entry["src"]
             for node, _ in walk_calls(expr):
                 assert node.callee.span is not None, entry["src"]
                 for arg in node.args:
@@ -102,6 +107,21 @@ def test_missing_argument_slots():
     assert to_json(tree)["args"][2]["value"] == {"kind": "symbol", "name": ""}
     tree = parse_expr("f(, 2)")
     assert to_json(tree)["args"][0]["value"] == {"kind": "symbol", "name": ""}
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("f(a = )", call("f", Arg(HOLE, "a"))),
+        ("alist(x = , y = 1)", call("alist", Arg(HOLE, "x"), y=NumLit.of(1))),
+        ('f("" = , 2)', call("f", Arg(HOLE, ""), NumLit.of(2))),
+        ("x[i = ]", call("[", SymbolRef("x"), Arg(HOLE, "i"))),
+    ],
+)
+def test_a_named_empty_argument_is_the_missing_argument(text, tree):
+    # valid R, as in `alist(x = )`: the name holds R's missing argument
+    assert parse_expr(text) == tree
+    assert deparse(tree) == text
 
 
 def test_program_lines_and_semicolons():

@@ -22,8 +22,10 @@ from codeweft.rast import (
     LogicalLit,
     NullLit,
     NumLit,
+    SrcSpan,
     StringLit,
     SymbolRef,
+    start_line,
     strip_parens,
     walk_calls,
 )
@@ -334,6 +336,34 @@ def test_generated_node_spans_are_ordered_and_nest(seed):
     text = "\n".join(_session_lines(random.Random(seed)))
     for expr, span in parse_program(text).exprs:
         _assert_spans_nest(expr, span, text)
+
+
+# a bound near each width a packed position could have, or far past any
+_BOUND = st.one_of(
+    st.integers(0, 300),
+    *(st.integers(2**bits - 2, 2**bits + 2) for bits in (14, 16, 30, 32, 64)),
+    st.integers(0, 2**80),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_BOUND, _BOUND), st.tuples(_BOUND, _BOUND))
+def test_node_positions_round_trip_at_any_bound(one, other):
+    (first_line, start_col), (end_line, end_col) = sorted([one, other])
+    span = SrcSpan(first_line, start_col, end_line, end_col)
+    # the public constructor, and the parser's path through two tokens' positions
+    tokens = Tokens()
+    tokens.lines += [first_line, end_line]
+    tokens.cols += [start_col, end_col]
+    tokens.end_lines += [first_line, end_line]
+    tokens.end_cols += [start_col, end_col]
+    assert tokens.span(0, 1) == span
+    for pos in (span, tokens.position(0, 1)):
+        nodes = [NullLit(pos), LogicalLit(None, pos), NumLit("1", 1.0, span=pos),
+                 StringLit("s", pos), SymbolRef("x", pos), Call(SymbolRef("f"), (), pos)]
+        for node in nodes:
+            assert node.span == span, node
+            assert start_line(node) == first_line, node
 
 
 # --- lexer totality -----------------------------------------------------

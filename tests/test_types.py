@@ -5,15 +5,19 @@ per-instance `__dict__`, compared and hashed by value with spans left out.
 """
 
 import copy
+import gc
 import math
 import pickle
+import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
 from codeweft.corpus import CallRecord
+from codeweft.lexer import tokenize
 from codeweft.lexicon import ClassificationEntry
-from codeweft.parser import parse_expr
+from codeweft.parser import parse_expr, parse_program
 from codeweft.rast import (
     Arg,
     Call,
@@ -87,6 +91,60 @@ def test_parser_built_objects_match_their_public_constructor(parsed, public):
 def test_span_rejects_a_backwards_region():
     with pytest.raises(ValueError):
         SrcSpan(2, 1, 1, 1)
+
+
+def _nodes(expr):
+    """Every node of a tree: each call, its callee and each argument's value."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Call):
+            stack += [node.callee, *(arg.value for arg in node.args)]
+
+
+def test_a_backwards_span_raises_through_each_constructor():
+    backwards = re.escape("backwards span: SrcSpan(start_line=2, start_col=1, end_line=1, end_col=1)")
+    with pytest.raises(ValueError, match=backwards):
+        Call(SymbolRef("f"), (), SrcSpan(2, 1, 1, 1))
+    # the parser's path: token 1's position packed back to the end of token 0
+    pos = tokenize("a\nb").position(1, 0)
+    builds = [NullLit, lambda p: LogicalLit(True, p), lambda p: NumLit("1", 1.0, span=p),
+              lambda p: StringLit("s", p), lambda p: SymbolRef("x", p),
+              lambda p: Call(SymbolRef("f"), (), p)]
+    for build in builds:
+        with pytest.raises(ValueError, match=backwards):
+            build(pos)
+    # a column too wide to pack leaves the SrcSpan itself, checked as it is built
+    with pytest.raises(ValueError, match="backwards span"):
+        tokenize("a\n" + " " * 20000 + "b").position(1, 0)
+    # no ordered span packs to a negative int
+    with pytest.raises(ValueError, match="backwards span"):
+        SymbolRef("x", -1)
+
+
+@pytest.mark.parametrize("text", ["y <- f(x = 1L, 'a', NULL, TRUE, NaN)[[2]]",
+                                  " " * 20000 + "g(h = 'i')"], ids=["packed", "too-wide-to-pack"])
+def test_parsed_nodes_keep_their_spans_through_repr_pickle_and_copy(text):
+    for node in _nodes(parse_expr(text)):
+        span = node.span
+        assert isinstance(span, SrcSpan), node
+        assert repr(node).endswith(f"span={span!r})"), node
+        # pickle rebuilds through the public constructor, from the SrcSpan
+        copied = pickle.loads(pickle.dumps(node))
+        assert (copied, hash(copied), copied.span, repr(copied)) == (node, hash(node), span, repr(node))
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+
+
+def test_no_parsed_node_references_a_span_object(parser_goldens, example_scripts):
+    # a node keeps its position packed in an int, and builds a SrcSpan when it is read
+    texts = [entry["src"] for entry in parser_goldens]
+    texts += [Path(path).read_text(encoding="utf-8") for path in example_scripts]
+    for text in texts:
+        for expr, _ in parse_program(text).exprs:
+            for node in _nodes(expr):
+                assert not any(isinstance(ref, SrcSpan) for ref in gc.get_referents(node)), text
 
 
 def test_equal_trees_with_different_spans_compare_and_hash_equal():

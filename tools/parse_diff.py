@@ -257,7 +257,8 @@ def _tree(expr) -> list:
             stack.extend(a.value for a in reversed(node.args))
             stack.append(node.callee)
         else:
-            names = [name for name in type(node).__slots__ if name != "span"]
+            # a node's span is in `span`, or packed in `_pos` (read through `span`)
+            names = [name for name in type(node).__slots__ if name not in ("span", "_pos")]
             fields = tuple(repr(getattr(node, name)) for name in names)
             out.append((type(node).__name__, fields, _span(node.span)))
     return out
