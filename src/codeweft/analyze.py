@@ -4,19 +4,23 @@ from __future__ import annotations
 
 from collections import Counter
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .errors import EmptyInput, SchemaError, UnknownColumn
 
 Row = Mapping[str, object]
 
 
-def _check_columns(rows: Sequence[Row], columns: Sequence[str]) -> None:
-    wanted = set(columns)
-    for i, row in enumerate(rows, 1):
-        if not row.keys() >= wanted:
+def _looked_up(rows: Sequence[Row], columns: Sequence[str], lookups: Callable[[], Any]) -> Any:
+    """`lookups()`, which reads `columns` from `rows`, or the first row without them named."""
+    try:
+        return lookups()
+    except KeyError:
+        for i, row in enumerate(rows, 1):
             missing = [c for c in columns if c not in row]
-            raise UnknownColumn(f"row {i}: unknown column(s): {', '.join(missing)}")
+            if missing:
+                raise UnknownColumn(f"row {i}: unknown column(s): {', '.join(missing)}") from None
+        raise
 
 
 def _groups(rows: Sequence[Row], column: str) -> Iterator[tuple]:
@@ -37,8 +41,8 @@ def count_funcs(
     """
     if not keys or len(set(keys)) != len(keys):
         raise UnknownColumn("grouping keys must be non-empty and unique")
-    _check_columns(rows, keys)
-    items = list(Counter(zip(*[_groups(rows, key) for key in keys])).items())
+    counts = _looked_up(rows, keys, lambda: Counter(zip(*[_groups(rows, key) for key in keys])))
+    items = list(counts.items())
     if sort:
         items.sort(key=lambda kv: (-kv[1], [(t.__name__, v) for v, t in kv[0]]))
     return [dict(zip(keys, [v for v, _ in key])) | {"n": n} for key, n in items]
@@ -55,11 +59,11 @@ def class_percentages(
     """
     if not rows:
         raise EmptyInput("no rows to summarise")
-    _check_columns(rows, [unit, class_col])
+    pairs = _looked_up(rows, [unit, class_col], lambda: Counter(
+        zip(_groups(rows, unit), _groups(rows, class_col))))
     per_unit: dict[tuple, dict[tuple, int]] = {}
-    for unit_key, cls in zip(_groups(rows, unit), _groups(rows, class_col)):
-        unit_counts = per_unit.setdefault(unit_key, {})
-        unit_counts[cls] = unit_counts.get(cls, 0) + 1
+    for (unit_key, cls), n in pairs.items():
+        per_unit.setdefault(unit_key, {})[cls] = n
     shares: dict[tuple, list[float]] = {}
     for unit_counts in per_unit.values():
         total = sum(unit_counts.values())
@@ -83,15 +87,16 @@ def top_n_by_group(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_columns(count_table, [group_col, "n"])
+    # every column is read before any n is checked, so a missing column comes first
+    groups, values = _looked_up(count_table, [group_col, "n"], lambda: (
+        list(_groups(count_table, group_col)), list(map(itemgetter("n"), count_table))))
     counts: list[int] = []
-    groups = list(_groups(count_table, group_col))
     by_group: dict[tuple, list[int]] = {}
-    for i, (row, group) in enumerate(zip(count_table, groups), 1):
+    for i, (value, group) in enumerate(zip(values, groups), 1):
         try:
-            count = int(row["n"])  # type: ignore[arg-type]
+            count = int(value)  # type: ignore[arg-type]
         except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"row {i}: n is not an integer: {row['n']!r}") from exc
+            raise SchemaError(f"row {i}: n is not an integer: {value!r}") from exc
         counts.append(count)
         by_group.setdefault(group, []).append(count)
     cutoffs = {

@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .errors import HttpError, IoError
 from .frozen import Frozen, setters
+from .parser import parse_program
 from .rast import Expr, start_line
 from .textfile import read_local
 
@@ -73,7 +74,6 @@ def _fetch_url(url: str, retries: int = 0, backoff: float = 0.5) -> str:
 
 def parse_source_text(source_id: str, text: str) -> ReadResult:
     """Parse already-fetched text into records under the given source id."""
-    from .parser import parse_program
     result = ReadResult()
     program = parse_program(text)
     for expr in program.trees:

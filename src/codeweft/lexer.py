@@ -6,14 +6,16 @@ swallowed, inside `{` blocks they separate statements, mirroring the R
 grammar's newline handling. A kept newline's value says which of the two
 it is: True inside a `{` block, where `else` may start a line.
 
-The scan is one pass over a single compiled alternation, dispatched on
-the name of the alternative that matched.
+The scan is one pass over a single compiled alternation, one match per
+token: the blanks before a token are inside its match, and the scan
+dispatches on the index of the group that matched (`m.lastindex`).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from functools import partial
 
 from .errors import InvalidCharacter, UnterminatedBacktick, UnterminatedString
 from .rast import SrcSpan
@@ -33,38 +35,38 @@ KEYWORDS = frozenset(
     ["if", "else", "for", "while", "repeat", "function", "break", "next", "in"]
 )
 
-# longest match first
-_OPERATORS = [
-    ":::", "<<-", "->>",
-    "::", "<-", "->", "<=", ">=", "==", "!=", "&&", "||", "[[",
-    "+", "-", "*", "/", "^", "<", ">", "!", "&", "|", "~", "?", ":",
-    "=", "$", "@", "(", ")", "[", "]", "{", "}", ",",
-]
+# longest match first; the one-character operators are one class
+_OPERATORS = [":::", "<<-", "->>", "::", "<-", "->", "<=", ">=", "==", "!=", "&&", "||", "[["]
 
-# Alternatives are tried in order; none matches the empty string, and
-# `bad` takes any character the others refuse, so the scan has no gaps.
-# A string or backtick name that runs out of input, and a `%` with no
-# closing `%` on its line, still match: the missing close is the error.
+# One match per token: the blanks before a token are part of its match, and `skip`
+# takes a comment or trailing blanks, which would otherwise backtrack into `bad`.
+# Frequent alternatives come first; `name` leaves a `.` before a digit to `num`, and
+# `bad` takes any other character, so the scan has no gaps. An unclosed string,
+# backtick name or `%` (on its line) still matches: the missing close is the error.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<skip>[ \t\r\f]+ | \#[^\n]*)
+    [ \t\r\f]*
+    (?: (?P<name>(?:[a-zA-Z]|\.(?![0-9]))[a-zA-Z0-9._]*)
+    | (?P<op>"""
+    + "|".join(map(re.escape, _OPERATORS))
+    + r"""|[-+*/^<>!&|~?:=$@()\[\]{},])
     | (?P<newline>\n)
-    | (?P<semi>;)
+    | (?P<num>0[xX][0-9a-fA-F]+L? | (?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?L?)
+    | (?P<skip>\#[^\n]* | (?<=[ \t\r\f])\Z)
+    | (?P<special>%[^%\n]*%?)
     | (?P<string>
         (?P<quote>["'])
         (?P<body>(?:[^"'\\]+ | \\.? | (?!(?P=quote))["'])*)
         (?P<close>(?P=quote))?)
     | (?P<backtick>`[^`\n]*`?)
-    | (?P<special>%[^%\n]*%?)
-    | (?P<num>0[xX][0-9a-fA-F]+L? | (?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?L?)
-    | (?P<name>[a-zA-Z.][a-zA-Z0-9._]*)
-    | (?P<op>"""
-    + "|".join(map(re.escape, _OPERATORS))
-    + r""")
-    | (?P<bad>.)
+    | (?P<semi>;)
+    | (?P<bad>.) )
     """,
     re.VERBOSE | re.DOTALL,
 )
+_NAME, _OP, _NEWLINE, _NUM, _SKIP, _SPECIAL, _STRING, _BACKTICK, _BAD = map(
+    _TOKEN_RE.groupindex.get, "name op newline num skip special string backtick bad".split())
+_KINDS = (None, *sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get))  # kind by group
 
 # one escape: x/u/U with up to 2/4/8 hex digits, 1-3 octal digits, or a
 # single character; empty for a backslash that ends the input
@@ -164,84 +166,85 @@ def tokenize(text: str, keep_newlines: bool = False) -> Tokens:
     return tokens
 
 
+def _span(m: re.Match, end: int = -1) -> SrcSpan:
+    """1-based inclusive span of the token `m`, or of its text up to `end`; one
+    ending in a line break ends at column 0 of the next line."""
+    text, start, end = m.string, m.start(m.lastindex), m.end() if end < 0 else end
+    line, start_col = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+    breaks = text.count("\n", start, end)
+    if breaks:
+        return SrcSpan(line, start_col, line + breaks, end - text.rindex("\n", start, end) - 1)
+    return SrcSpan(line, start_col, line, start_col + end - start - 1)
+
+
+def _unescape(m: re.Match, esc: re.Match) -> str:
+    """Decode one escape in the body of the string token `m`."""
+    code = esc[1]
+    if code in _ESCAPES:
+        return _ESCAPES[code]
+    octal = code[0] in "01234567"
+    digits = code if octal else code[1:]
+    point = int(digits, 8 if octal else 16) if digits else None
+    if point and point <= 0x10FFFF and not 0xD800 <= point <= 0xDFFF:
+        return chr(point)
+    # a NUL, an unknown letter, a hex escape with no digits, or a code point
+    # above U+10FFFF or in D800-DFFF, which names no character; R rejects all
+    if point == 0:
+        message = "nul character not allowed"
+    else:
+        message = f"{'invalid' if code[0] in 'xuU' else 'unknown'} escape \\{code}"
+    raise InvalidCharacter(message, _span(m, m.start("body") + esc.end()))
+
+
 def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
     """Append the tokens of text[pos:], carrying on from where the scan of text[:pos] stopped."""
     kinds, texts, values = tokens.kinds, tokens.texts, tokens.values
     lines, cols, end_lines, end_cols = tokens.lines, tokens.cols, tokens.end_lines, tokens.end_cols
     stack, line, line_start = tokens.stack, tokens.line, tokens.line_start
     shared = tokens.shared.setdefault
-
-    def span(start: int, end: int) -> SrcSpan:
-        """1-based inclusive span of text[start:end], which starts on `line`.
-
-        A span ending in a line break ends at column 0 of the next line.
-        """
-        start_col = start - line_start + 1
-        breaks = text.count("\n", start, end)
-        if breaks:
-            return SrcSpan(line, start_col, line + breaks, end - text.rindex("\n", start, end) - 1)
-        return SrcSpan(line, start_col, line, end - line_start)
-
-    def unescape(esc: re.Match) -> str:
-        """Decode one escape in the body of the string token `m`."""
-        code = esc[1]
-        if code in _ESCAPES:
-            return _ESCAPES[code]
-        octal = code[0] in "01234567"
-        digits = code if octal else code[1:]
-        point = int(digits, 8 if octal else 16) if digits else None
-        if point and point <= 0x10FFFF and not 0xD800 <= point <= 0xDFFF:
-            return chr(point)
-        # a NUL, an unknown letter, a hex escape with no digits, or a code point
-        # above U+10FFFF or in D800-DFFF, which names no character; R rejects all
-        if point == 0:
-            message = "nul character not allowed"
-        else:
-            message = f"{'invalid' if code[0] in 'xuU' else 'unknown'} escape \\{code}"
-        raise InvalidCharacter(message, span(m.start(), m.start("body") + esc.end()))
-
     try:
         for m in _TOKEN_RE.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "skip":
-                continue
-            start, end = m.span()
-            raw = m[0]
+            i = m.lastindex
+            start, end = m.span(i)
+            raw = m[i]
+            kind = _KINDS[i]
             value = None
-            if kind == "name":
+            if i == _NAME:
                 if raw in KEYWORDS:
                     kind = KEYWORD
-            elif kind == "op":
+            elif i == _OP:
                 if raw in _OPENERS:
                     stack.extend(_OPENERS[raw])
                 elif raw in _CLOSERS and stack:
                     stack.pop()
-            elif kind == "newline":
+            elif i == _NEWLINE:
                 if not keep_newlines or (stack and not stack[-1]):
                     line, line_start = line + 1, end
                     continue
                 value = bool(stack)  # kept, so either inside a `{` block or at top level
-            elif kind == "num":
+            elif i == _NUM:
                 value = _number(raw)
-            elif kind == "string":
-                value = _ESCAPE_RE.sub(unescape, m["body"])
+            elif i == _SKIP:
+                continue
+            elif i == _STRING:
+                value = _ESCAPE_RE.sub(partial(_unescape, m), m["body"])
                 if m["close"] is None:
-                    raise UnterminatedString("unterminated string literal", span(start, end))
-            elif kind == "special":
+                    raise UnterminatedString("unterminated string literal", _span(m))
+            elif i == _SPECIAL:
                 if len(raw) < 2 or raw[-1] != "%":
-                    raise InvalidCharacter("unterminated %..% operator", span(start, end))
-            elif kind == "backtick":
+                    raise InvalidCharacter("unterminated %..% operator", _span(m))
+            elif i == _BACKTICK:
                 if len(raw) < 2 or raw[-1] != "`":
-                    raise UnterminatedBacktick("unterminated backtick name", span(start, end))
+                    raise UnterminatedBacktick("unterminated backtick name", _span(m))
                 kind, raw = NAME, raw[1:-1]
-            elif kind == "bad":
-                raise InvalidCharacter(f"invalid character {raw!r}", span(start, end))
+            elif i == _BAD:
+                raise InvalidCharacter(f"invalid character {raw!r}", _span(m))
             kinds.append(kind)
             texts.append(shared(raw, raw))
             values.append(value)
             lines.append(line)
             cols.append(start - line_start + 1)
-            if kind == NEWLINE or kind == STRING:  # the only tokens that can hold a line break
+            if i == _NEWLINE or i == _STRING:  # the only tokens that can hold a line break
                 breaks = raw.count("\n")
                 if breaks:
                     line, line_start = line + breaks, text.rindex("\n", start, end) + 1

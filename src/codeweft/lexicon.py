@@ -148,6 +148,8 @@ def classify(
     k rows. Token order is preserved; a token's matches are ordered by
     lexicon name, then descending score.
     """
+    if not tokens:  # most sources keep no call after the stop functions go
+        return []
     used = {t.func for t in tokens}
     by_func: dict[str, list[ClassificationEntry]] = {}
     for e in entries:

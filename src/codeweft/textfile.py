@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
 from typing import Iterator
 
 from .errors import IoError, SchemaError
@@ -20,7 +19,8 @@ def decode(source: str, data: bytes) -> str:
 
 def read_local(path: str) -> str:
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as file:  # unbuffered: one read of the whole file
+            data = file.read()
     except OSError as exc:
         raise IoError(path, exc.strerror or str(exc)) from exc
     return decode(path, data)

@@ -116,3 +116,29 @@ def test_top_n_validates():
         top_n_by_group([], group_col="g", n=0)
     with pytest.raises(UnknownColumn):
         top_n_by_group([{"grp": "x"}], group_col="grp", n=1)
+
+
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "summarise, columns",
+    [
+        (lambda rows: count_funcs(rows, ["id", "func"]), "func"),
+        (lambda rows: class_percentages(rows, unit="id"), "classification"),
+        (lambda rows: top_n_by_group(rows, group_col="id", n=1), "n"),
+    ],
+    ids=["counts", "percent", "top"],
+)
+def test_the_first_row_without_a_column_is_named(summarise, columns, at):
+    rows = [{"id": i, "func": "f", "classification": "setup", "n": i} for i in range(5)]
+    rows[at] = {"id": at}
+    later = {"func": "f", "classification": "setup", "n": 1}  # a second faulty row, after it
+    rows[at + 1 :] = [later] * len(rows[at + 1 :])
+    with pytest.raises(UnknownColumn) as info:
+        summarise(rows)
+    assert str(info.value) == f"row {at + 1}: unknown column(s): {columns}"
+
+
+def test_top_n_names_a_missing_column_before_an_earlier_bad_count():
+    table = [{"grp": "x", "n": 1}, {"grp": "x", "n": "many"}, {"grp": "y"}]
+    with pytest.raises(UnknownColumn, match="row 3: unknown column"):
+        top_n_by_group(table, group_col="grp", n=1)

@@ -276,9 +276,14 @@ def test_fetch_manifest(capsys, tmp_path, example_scripts):
     assert len(rows_of_csv(out)) == 9
 
 
-def test_missing_source_is_io_error(capsys):
-    code, _, err = run(capsys, "parse", "/no/such/file.R")
-    assert code == 66 and "file.R" in err
+def test_missing_source_is_io_error(capsys, tmp_path, example_scripts):
+    code, out, err = run(capsys, "parse", str(tmp_path), "/no/such/file.R", example_scripts[0])
+    assert code == 66
+    assert err.splitlines() == [
+        f"codeweft: {tmp_path}: Is a directory",
+        "codeweft: /no/such/file.R: No such file or directory",
+    ]
+    assert len(rows_of_csv(out)) == 7  # the source after them keeps its rows
 
 
 def test_partial_parse_error_exit(capsys, tmp_path):

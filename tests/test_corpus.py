@@ -77,10 +77,13 @@ def test_read_local_files(example_scripts):
     assert [r.line for r in result.records] == [1, 2, 3, 4, 5, 6, 7, 1, 2]
 
 
-def test_missing_file_is_isolated(example_scripts):
-    result = read_rfiles(["/no/such/file.R", example_scripts[0]])
-    assert len(result.errors) == 1
-    assert isinstance(result.errors[0], IoError)
+def test_missing_file_is_isolated(example_scripts, tmp_path):
+    # a directory and a missing file are one I/O error each; the next source keeps its records
+    result = read_rfiles([str(tmp_path), "/no/such/file.R", example_scripts[0]])
+    assert [type(err) for err in result.errors] == [IoError, IoError]
+    assert [str(err) for err in result.errors] == [
+        f"{tmp_path}: Is a directory", "/no/such/file.R: No such file or directory"
+    ]
     assert len(result.records) == 7
 
 

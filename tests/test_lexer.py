@@ -272,12 +272,21 @@ def test_token_spans(text, expected):
         (r'"\x00"', InvalidCharacter, "nul character not allowed", (1, 1, 1, 5)),
         (r'"\u0000"', InvalidCharacter, "nul character not allowed", (1, 1, 1, 7)),
         (r'"\000', InvalidCharacter, "nul character not allowed", (1, 1, 1, 5)),
+        # after blanks: each span starts at its token, not at the blanks before it
+        (r'x <- "\q"', InvalidCharacter, r"unknown escape \q", (1, 6, 1, 8)),
+        ('\t \t"a\n\\q"', InvalidCharacter, r"unknown escape \q", (1, 4, 2, 2)),
+        ("x  \t\x01", InvalidCharacter, r"invalid character '\x01'", (1, 5, 1, 5)),
+        ("\n \t 'abc", UnterminatedString, "unterminated string literal", (2, 4, 2, 7)),
+        ("f(\t`ab", UnterminatedBacktick, "unterminated backtick name", (1, 4, 1, 6)),
+        ("a \t %in b", InvalidCharacter, "unterminated %..% operator", (1, 5, 1, 9)),
     ],
     ids=[
         "string-eof", "string-newline-eof", "backtick-newline", "special-eof",
         "special-newline", "unknown-escape", "hex-no-digits", "control-char",
         "arabic-digit", "arabic-exponent", "octal-nul", "hex-nul", "unicode-nul",
-        "nul-before-unterminated",
+        "nul-before-unterminated", "escape-after-blanks", "escape-on-a-later-line-after-tabs",
+        "control-char-after-blanks", "string-after-blanks", "backtick-after-a-tab",
+        "special-after-blanks",
     ],
 )
 def test_error_spans(text, error, message, span):
@@ -287,3 +296,32 @@ def test_error_spans(text, error, message, span):
     assert type(got) is error
     assert str(got) == f"{message} (line {span[0]}, col {span[1]})"
     assert (got.span.start_line, got.span.start_col, got.span.end_line, got.span.end_col) == span
+
+
+@pytest.mark.parametrize(
+    "text", ["x   ", "x \t\r\f", "x # note", "x\t# note", "x\n  \t", "x\n# note", "x ;  "]
+)
+def test_trailing_blanks_and_a_final_comment_give_no_token(text):
+    for keep_newlines in (False, True):
+        tokens = tokenize(text, keep_newlines=keep_newlines)
+        assert [k for k in tokens.kinds if k not in ("newline", "semi")] == ["name"]
+        assert tokens.texts[0] == "x"
+
+
+@pytest.mark.parametrize(
+    "text, kind, value",
+    [
+        (".5", "num", (0.5, False)),
+        (".5L", "num", (0.5, True)),
+        (".x", "name", None),
+        ("..1", "name", None),
+        ("...", "name", None),
+        (".", "name", None),
+        ("x.1", "name", None),
+        ("..5", "name", None),
+        ("1.", "num", (1.0, False)),
+    ],
+)
+def test_a_leading_dot_starts_a_number_only_before_a_digit(text, kind, value):
+    tokens = tokenize(text)
+    assert (tokens.kinds, tokens.texts, tokens.values) == ([kind], [text], [value])

@@ -14,7 +14,7 @@ from codeweft.corpus import CallRecord
 from codeweft.deparse import deparse
 from codeweft.errors import SourceError
 from codeweft.lexer import Tokens, tokenize
-from codeweft.lexicon import ClassificationEntry, classify, remove_stopfuncs
+from codeweft.lexicon import ClassificationEntry, classify, load_classifications, remove_stopfuncs
 from codeweft.parser import parse_expr, parse_program, resume_program
 from codeweft.rast import (
     Arg,
@@ -30,7 +30,7 @@ from codeweft.rast import (
     walk_calls,
 )
 from codeweft.recorder import KIND_EXPRESSION, _expression_texts, record
-from codeweft.unnest import unnest_corpus
+from codeweft.unnest import FuncToken, unnest_corpus
 
 # --- random tree generation ---------------------------------------------
 
@@ -226,6 +226,29 @@ def test_joins_match_bruteforce_filters(seed):
     pairs = classify(tokens, entries)
     assert len(pairs) == sum(1 for t in tokens if t.func in set(lex_funcs))
     assert [t.func for t, _ in pairs] == [t.func for t in tokens if t.func in set(lex_funcs)]
+
+
+_LEXICON = load_classifications()
+_LEXICON_FUNCS = sorted({e.func for e in _LEXICON})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(_LEXICON_FUNCS + ["no_such_func", "x"]), max_size=30),
+    st.lists(st.sampled_from(range(len(_LEXICON))), unique=True, max_size=60),
+)
+def test_classify_matches_a_nested_loop_join(funcs, picked):
+    tokens = [FuncToken(f, (), "<gen>", i, 0) for i, f in enumerate(funcs, 1)]
+    entries = [_LEXICON[i] for i in picked]  # a random subset, in random order
+    naive = [
+        (token, entry)
+        for token in tokens
+        for entry in sorted(
+            (e for e in entries if e.func == token.func),
+            key=lambda e: (e.lexicon, -e.score, e.classification),
+        )
+    ]
+    assert classify(tokens, entries) == naive
 
 
 # --- statistics oracles -------------------------------------------------
