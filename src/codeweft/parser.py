@@ -135,7 +135,7 @@ class _Parser:
     """
 
     __slots__ = ("text", "tokens", "kinds", "texts", "values", "position", "pos", "depth", "resumes",
-                 "cut")
+                 "kept", "else_at", "cut")
 
     def __init__(self, tokens: Tokens, text: str, cut: SourceError | None = None):
         self.text = text
@@ -150,6 +150,10 @@ class _Parser:
         # where to resume the constructs open where the input ran out, innermost
         # first: (token, depth, routine, arguments), for routine(self, *arguments)
         self.resumes: list[tuple] = []
+        # what a resume read through its closer: opener token -> (items, token after them)
+        self.kept: dict[int, tuple[list[Arg], int]] = {}
+        # the token after an `if` whose `else` lookahead ran into the end of the tokens
+        self.else_at = -1
         # the lexer error that ended the tokens, until the parse raises it at their end
         self.cut = cut
 
@@ -288,23 +292,36 @@ class _Parser:
             args = [Arg(self.parse_expr(_UNARY_BP[text]))]
         return self.node(i, args, i)
 
-    def parse_block(self) -> list[Arg]:
-        """The statements after a `{`, through its `}`."""
-        depth, item = self.depth, self.pos
-        stmts: list[Arg] = []
+    def parse_block(self, opener: int = 0, stmts: list[Arg] | None = None) -> list[Arg]:
+        """The statements after a `{`, through its `}`. A resume passes the `{`
+        token `opener` and the statements before the one it starts at: the
+        current one, or the one before if a later `else` can still join that. A
+        block that a resume closes is kept, and a later read of that `{` takes it."""
+        fresh = stmts is None
+        if fresh:
+            opener, stmts = self.pos - 1, []
+            if opener in self.kept:
+                stmts, self.pos = self.kept[opener]
+                return stmts
+        # a resume reads again at `at`, after n statements: past the last, if no `else` can follow
+        depth, at, n = self.depth, self.pos, len(stmts)
         try:
             while True:
                 self.skip_separators()
-                prev, item = item, self.pos
                 if self.at(OP, "}"):
                     break
                 stmts.append(Arg(self.parse_expr(0)))
+                if self.pos != self.else_at:
+                    at, n = self.pos, len(stmts)
                 if not (self.at(NEWLINE) or self.at(SEMI) or self.at(OP, "}")):
                     self.fail("'}', newline or ';'")
         except IncompleteInput:
-            self.resumes.append((prev, depth, _Parser.parse_block, ()))
+            del stmts[n:]
+            self.resumes.append((at, depth, _Parser.parse_block, (opener, stmts)))
             raise
         self.advance()
+        if not fresh:
+            self.kept[opener] = (stmts, self.pos)
         return stmts
 
     def parse_member_name(self) -> Expr:
@@ -332,22 +349,34 @@ class _Parser:
         # an empty subscript keeps R's missing-argument slot: x[] has one
         return self.node(i, [Arg(callee), *(args or [Arg(SymbolRef(""))])], first)
 
-    def parse_list(self, closer: str, item: Callable[[_Parser, str], Arg]) -> list[Arg]:
-        """Comma-separated items before `closer`, each read by `item(self, closer)`."""
-        items: list[Arg] = []
-        if self.at(OP, closer):
+    def parse_list(self, closer: str, item: Callable[[_Parser, str], Arg], opener: int = 0,
+                   items: list[Arg] | None = None) -> list[Arg]:
+        """Comma-separated items before `closer`, each read by `item(self, closer)`.
+        A resume passes the opener token `opener` and the items read before; a
+        list it reads up to `closer` is kept, as `parse_block` keeps a block. One
+        that stops at the end of the tokens is not: the next line may go on."""
+        fresh = items is None
+        if fresh:
+            opener, items = self.pos - 1, []
+            if opener in self.kept:
+                items, self.pos = self.kept[opener]
+                return items
+        if not items and self.at(OP, closer):
             return items
-        depth, start = self.depth, self.pos
+        depth = self.depth
         try:
             while True:
-                prev, start = start, self.pos
+                start = self.pos  # a comma ends the item before for good
                 items.append(item(self, closer))
                 if not self.at(OP, ","):
-                    return items
+                    break
                 self.advance()
         except IncompleteInput:
-            self.resumes.append((prev, depth, _Parser.parse_list, (closer, item)))
+            self.resumes.append((start, depth, _Parser.parse_list, (closer, item, opener, items)))
             raise
+        if not fresh and self.at(OP, closer):
+            self.kept[opener] = (items, self.pos)
+        return items
 
     def parse_arg(self, closer: str) -> Arg:
         """One argument, maybe named; an empty value before a comma or `closer`
@@ -419,6 +448,8 @@ class _Parser:
         if self.kinds[i] == KEYWORD and self.texts[i] == "else":
             self.pos = i
             return True
+        if self.kinds[i] == EOF:  # a later line may still bring it
+            self.else_at = self.pos
         return False
 
     # --- program level --------------------------------------------------
@@ -455,13 +486,13 @@ def parse_program(text: str) -> ProgramResult:
         tokens, cut = lexer.Tokens(), err
         with contextlib.suppress(SourceError):
             lexer.scan(tokens, text, 0, keep_newlines=True)
-    return _parse_tokens(tokens, text, cut)
+    return _parse_tokens(_Parser(tokens, text, cut), cut)
 
 
-def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None) -> ProgramResult:
-    """Parse `tokens`, which `cut`, if given, ended before the end of `text`."""
+def _parse_tokens(parser: _Parser, cut: SourceError | None) -> ProgramResult:
+    """Parse all of `parser`'s tokens, which `cut`, if given, ended before its text's end."""
     result = ProgramResult()
-    parser = _Parser(tokens, text, cut)
+    parser.pos, parser.resumes, parser.else_at, parser.cut = 0, [], -1, cut
     while True:
         parser.skip_separators()
         if parser.at(EOF) and parser.cut is None:
@@ -479,7 +510,7 @@ def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None) -> Program
     elif first is cut and isinstance(cut, (UnterminatedString, UnterminatedBacktick)):
         # a backtick name cannot cross a line: only one cut by the end of the
         # text can still be closed, as a string always can
-        result.incomplete = cut.span.end_line > text.count("\n")
+        result.incomplete = cut.span.end_line > parser.text.count("\n")
     return result
 
 
@@ -487,9 +518,12 @@ def _parse_tokens(tokens: Tokens, text: str, cut: SourceError | None) -> Program
 def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     """`parse_program(text)` for a text that extends an incomplete result's
     text by whole lines: it lexes those lines and parses again the innermost
-    open construct where it stopped (a list from the item before the current
-    one, which a new line can still join: an `else`), then the next one out,
-    then all. A result is resumed once; one that cannot be is parsed in full."""
+    open construct where it stopped (a block at its current statement, or the
+    one before if an `else` can still join that; a comma list at its current
+    item; a chain at its last operator), then the next one out, then all. A
+    block or list read through its closer is kept, and the next one out and
+    the full parse take it unread. A chain, whose next token may yet be an
+    operator, is not. A result is resumed once; one that cannot be is parsed in full."""
     parser, result._parser = result._parser, None
     if not (parser and text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
         return parse_program(text)
@@ -502,7 +536,7 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     parser.texts[n:] = [*tokens.texts[n:], ""]
     parser.text, parser.cut = text, cut
     for i, (pos, depth, routine, arguments) in enumerate(resumes):
-        parser.pos, parser.depth, parser.resumes = pos, depth, []
+        parser.pos, parser.depth, parser.resumes, parser.else_at = pos, depth, [], -1
         try:
             routine(parser, *arguments)
         except IncompleteInput as err:
@@ -510,7 +544,7 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
             return ProgramResult(list(result.trees), [err.with_traceback(None)], True, parser)
         except SourceError:
             break
-    return _parse_tokens(tokens, text, cut)
+    return _parse_tokens(parser, cut)
 
 
 def parse_expr(text: str) -> Expr:

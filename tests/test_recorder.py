@@ -205,6 +205,11 @@ class _CountingScans:
         return self.pattern.finditer(text, pos)
 
 
+_BODY = ["  x <- f(a, b = 1)", "  if (x > 1) {", "    y <- g(x)", "  }", "  z <- c(1, 2,", "    3)"]
+_FUNCTION = ["f <- function(a, b) {", *(_BODY * 66), "  w <- z", "  w", "}"]
+_ELSE = ["  if (a) {", "    b", "  }", "  else {", "    c", "  }"]  # `else` on a line of its own
+
+
 def test_recording_a_long_function_reads_each_line_a_bounded_number_of_times(
     clock, log, monkeypatch
 ):
@@ -223,8 +228,7 @@ def test_recording_a_long_function_reads_each_line_a_bounded_number_of_times(
 
     for module in (parser, recorder):
         monkeypatch.setattr(module, "parse_program", counting(module.parse_program))
-    body = ["  x <- f(a, b = 1)", "  if (x > 1) {", "    y <- g(x)", "  }", "  z <- c(1, 2,", "    3)"]
-    lines = ["f <- function(a, b) {", *(body * 66), "  w <- z", "  w", "}"]
+    lines = _FUNCTION
     assert len(lines) == 400
     events = record(lines, clock=clock, log_path=log)
     assert _expressions(events) == [("\n".join(lines), True)]
@@ -236,25 +240,32 @@ _STAGES = 398  # lines between the first and the last of a 400-line paste
 
 
 @pytest.mark.parametrize(
-    "lines",
+    "lines, closing",
     [
-        ["x %>%", *["  f() %>%"] * _STAGES, "  g()"],
-        ["h <- function(x) {", "  x %>%", *["  f() %>%"] * (_STAGES - 2), "  g()", "}"],
-        ["(a +", *["  b +"] * _STAGES, "  c)"],
-        ["k <- function(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z) NULL"],
-        ["f(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z)"],
-        ["x[1,", *[f"  {i}," for i in range(_STAGES)], "]"],
+        # a chain is never kept: its next token may yet be an operator, so the
+        # line that ends it parses the whole chain once
+        (["x %>%", *["  f() %>%"] * _STAGES, "  g()"], None),
+        (["h <- function(x) {", "  x %>%", *["  f() %>%"] * (_STAGES - 2), "  g()", "}"], None),
+        (["(a +", *["  b +"] * _STAGES, "  c)"], None),
+        (["k <- function(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z) NULL"], 10),
+        (["f(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z)"], 10),
+        (["x[1,", *[f"  {i}," for i in range(_STAGES)], "]"], 10),
+        (_FUNCTION, 10),
+        (["g <- function(a) {", *(_ELSE * 66), "  a <- 1", "  a", "}"], 10),
     ],
     ids=["top-level-chain", "chain-in-function", "parenthesised-sum", "formals", "arguments",
-         "subscripts"],
+         "subscripts", "function-with-blocks", "function-with-else-lines"],
 )
-def test_recording_a_long_paste_does_bounded_parser_work_per_token(clock, log, monkeypatch, lines):
-    # each open construct resumes where it stopped, so no line parses the paste again
+def test_recording_a_long_paste_does_bounded_parser_work_per_token(
+    clock, log, monkeypatch, lines, closing
+):
+    # each open construct resumes where it stopped, so no line parses the paste
+    # again; a block or list it closes is kept, so its closing line parses only itself
     from codeweft import lexer, parser
 
     assert len(lines) == 400
     tokens = len(lexer.tokenize("\n".join(lines)))
-    calls = 0
+    calls, before = 0, []
     parse_expr = parser._Parser.parse_expr
 
     def counting(self, *args):
@@ -262,7 +273,14 @@ def test_recording_a_long_paste_does_bounded_parser_work_per_token(clock, log, m
         calls += 1
         return parse_expr(self, *args)
 
+    def fed():
+        for line in lines:
+            before.append(calls)
+            yield line
+
     monkeypatch.setattr(parser._Parser, "parse_expr", counting)
-    events = record(lines, clock=clock, log_path=log)
+    events = record(fed(), clock=clock, log_path=log)
     assert _expressions(events) == [("\n".join(lines), True)]
     assert calls <= 3 * tokens
+    if closing is not None:
+        assert calls - before[-1] <= closing

@@ -15,7 +15,11 @@ each input the dump records
   - `is_complete(text)`: True, False, or the error raised;
   - for an input of more than one line, `recorder.record` over its lines
     (a fixed clock, a log in a temporary directory): the kind, text and
-    `parsed` flag of every event.
+    `parsed` flag of every event;
+  - for such an input, the result of each line prefix of each chunk that
+    `record` parses, with an incomplete result resumed by `resume_program`
+    as `record` resumes it: dumped as for `parse_program`, so a block or
+    list that a resume keeps and a fresh parse would build otherwise shows.
 
 Inputs are the parser goldens, one file of all of them, the bundled
 examples, each nesting form at depths around and far past the parser's
@@ -48,7 +52,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SECTIONS = ["tokens", "tokens_nl", "program", "is_complete", "record"]
+SECTIONS = ["tokens", "tokens_nl", "program", "is_complete", "record", "resume"]
 SHOW = 5  # differences printed in full
 
 # --- inputs ---------------------------------------------------------------
@@ -273,6 +277,32 @@ def _tokens(tokens) -> list:
             for i, (kind, text, value) in enumerate(zip(tokens.kinds, tokens.texts, tokens.values))]
 
 
+def _program(result) -> dict:
+    return {
+        "exprs": [(_tree(expr), _span(span)) for expr, span in result.exprs],
+        "errors": [_error(err) for err in result.errors],
+        "incomplete": result.incomplete,
+    }
+
+
+def _resumed(lines: list[str]) -> list:
+    """The result of each line prefix of each chunk `record` parses."""
+    from codeweft.parser import parse_program, resume_program
+
+    out, pending, result = [], [], None
+    for line in lines:
+        if not pending and not line.strip():
+            continue
+        pending.append(line)
+        text = "\n".join(pending)
+        resumable = result is not None and result.incomplete
+        result = resume_program(result, text) if resumable else parse_program(text)
+        out.append(_program(result))
+        if not result.incomplete:
+            pending.clear()
+    return out
+
+
 def dump_one(text: str, log: Path) -> dict:
     from codeweft.lexer import tokenize
     from codeweft.parser import is_complete, parse_program
@@ -285,12 +315,7 @@ def dump_one(text: str, log: Path) -> dict:
         except Exception as err:  # the other version may raise anything
             out[name] = _error(err)
     try:
-        result = parse_program(text)
-        out["program"] = {
-            "exprs": [(_tree(expr), _span(span)) for expr, span in result.exprs],
-            "errors": [_error(err) for err in result.errors],
-            "incomplete": result.incomplete,
-        }
+        out["program"] = _program(parse_program(text))
     except Exception as err:
         out["program"] = _error(err)
     try:
@@ -304,8 +329,12 @@ def dump_one(text: str, log: Path) -> dict:
         except Exception as err:
             out["record"] = _error(err)
         log.unlink(missing_ok=True)
+        try:
+            out["resume"] = _resumed(text.split("\n"))
+        except Exception as err:
+            out["resume"] = _error(err)
     else:
-        out["record"] = None
+        out["record"] = out["resume"] = None
     return out
 
 
