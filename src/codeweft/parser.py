@@ -150,8 +150,8 @@ class _Parser:
         # where to resume the constructs open where the input ran out, innermost
         # first: (token, depth, routine, arguments), for routine(self, *arguments)
         self.resumes: list[tuple] = []
-        # what a resume read through its closer: opener token -> (items, token after them)
-        self.kept: dict[int, tuple[list[Arg], int]] = {}
+        # once resumed, each block or list read through its closer: opener -> (items, token after)
+        self.kept: dict[int, tuple[list[Arg], int]] | None = None
         # the token after an `if` whose `else` lookahead ran into the end of the tokens
         self.else_at = -1
         # the lexer error that ended the tokens, until the parse raises it at their end
@@ -245,10 +245,7 @@ class _Parser:
                 else:
                     operand = self.parse_expr(lbp if right else lbp + 1)
             except IncompleteInput:
-                # only the innermost: once a construct inside closes, the next one
-                # out (or a full parse) parses this chain again anyway
-                if not self.resumes:
-                    self.resumes.append((i, depth, _Parser.parse_expr, (min_bp, left, first)))
+                self.resumes.append((i, depth, _Parser.parse_expr, (min_bp, left, first)))
                 raise
             name = _RIGHTWARD.get(text)  # R rewrites rightward assignment
             lhs, rhs = Arg(left), Arg(operand)
@@ -296,11 +293,10 @@ class _Parser:
         """The statements after a `{`, through its `}`. A resume passes the `{`
         token `opener` and the statements before the one it starts at: the
         current one, or the one before if a later `else` can still join that. A
-        block that a resume closes is kept, and a later read of that `{` takes it."""
-        fresh = stmts is None
-        if fresh:
+        resumed parser keeps each block read through its `}`: a later read takes it."""
+        if stmts is None:
             opener, stmts = self.pos - 1, []
-            if opener in self.kept:
+            if self.kept and opener in self.kept:
                 stmts, self.pos = self.kept[opener]
                 return stmts
         # a resume reads again at `at`, after n statements: past the last, if no `else` can follow
@@ -320,7 +316,7 @@ class _Parser:
             self.resumes.append((at, depth, _Parser.parse_block, (opener, stmts)))
             raise
         self.advance()
-        if not fresh:
+        if self.kept is not None:
             self.kept[opener] = (stmts, self.pos)
         return stmts
 
@@ -353,12 +349,12 @@ class _Parser:
                    items: list[Arg] | None = None) -> list[Arg]:
         """Comma-separated items before `closer`, each read by `item(self, closer)`.
         A resume passes the opener token `opener` and the items read before; a
-        list it reads up to `closer` is kept, as `parse_block` keeps a block. One
-        that stops at the end of the tokens is not: the next line may go on."""
-        fresh = items is None
-        if fresh:
+        list read up to `closer` is kept, as `parse_block` keeps a block. One whose
+        last item reaches the end of the tokens is open at that item: the next
+        line may go on with it, so it fails where the caller's `closer` would."""
+        if items is None:
             opener, items = self.pos - 1, []
-            if opener in self.kept:
+            if self.kept and opener in self.kept:
                 items, self.pos = self.kept[opener]
                 return items
         if not items and self.at(OP, closer):
@@ -371,10 +367,13 @@ class _Parser:
                 if not self.at(OP, ","):
                     break
                 self.advance()
+            if self.at(EOF):
+                del items[-1]
+                self.fail(repr(closer))
         except IncompleteInput:
             self.resumes.append((start, depth, _Parser.parse_list, (closer, item, opener, items)))
             raise
-        if not fresh and self.at(OP, closer):
+        if self.kept is not None and self.at(OP, closer):
             self.kept[opener] = (items, self.pos)
         return items
 
@@ -517,16 +516,17 @@ def _parse_tokens(parser: _Parser, cut: SourceError | None) -> ProgramResult:
 @nogc
 def resume_program(result: ProgramResult, text: str) -> ProgramResult:
     """`parse_program(text)` for a text that extends an incomplete result's
-    text by whole lines: it lexes those lines and parses again the innermost
-    open construct where it stopped (a block at its current statement, or the
-    one before if an `else` can still join that; a comma list at its current
-    item; a chain at its last operator), then the next one out, then all. A
-    block or list read through its closer is kept, and the next one out and
-    the full parse take it unread. A chain, whose next token may yet be an
-    operator, is not. A result is resumed once; one that cannot be is parsed in full."""
+    text by whole lines: it lexes those lines and parses again each construct
+    open at the old end where it stopped (a block at its current statement, or
+    the one before if an `else` can still join that; a comma list at its current
+    item; a chain at its last operator), innermost first, then all. A resumed
+    parser keeps every block or list it reads through its closer: a later read
+    takes it unread. A result is resumed once; one that cannot be is parsed in full."""
     parser, result._parser = result._parser, None
     if not (parser and text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
         return parse_program(text)
+    if parser.kept is None:
+        parser.kept = {}
     tokens, n, resumes, cut = parser.tokens, len(parser.tokens), parser.resumes, None
     try:
         lexer.scan(tokens, text, len(parser.text), keep_newlines=True)

@@ -148,7 +148,7 @@ def record(
                 # hard syntax error: no further lines can repair it
                 emit(SessionEvent(KIND_EXPRESSION, stamp(), chunk, {"parsed": False}))
             else:
-                for text in _expression_texts(pending, [span for _, span in program.exprs]):
+                for text in _expression_texts(chunk.split("\n"), [e.span for e in program.trees]):
                     emit(SessionEvent(KIND_EXPRESSION, stamp(), text, {"parsed": True}))
             pending.clear()
 

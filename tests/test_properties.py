@@ -177,7 +177,7 @@ def _reference_events(lines):
             events.append((chunk, False))
         else:
             spans = [span for _, span in program.exprs]
-            events += [(text, True) for text in _expression_texts(pending, spans)]
+            events += [(text, True) for text in _expression_texts(chunk.split("\n"), spans)]
         pending.clear()
     if "\n".join(pending).strip():
         events.append(("\n".join(pending), False))
@@ -193,6 +193,9 @@ def _reference_events(lines):
 @example(["{", "  x <- if (a) b", "  else c", "}"])  # the `if` ends a statement
 @example(["f(if (a) b", "else c)"])  # no newline inside a call: `else` always joins
 @example(["g(", ")"])  # a list with no item
+@example(["y <- df %>%", "  mutate(", "    a = 1", "  ) %>%", "  mutate(", "    b = a", "  )"])
+@example(["f(", "  a = 1,", "  b", ")"])  # the last item's line leaves the list open at it
+@example(["f(", "g(", "h(", "x", ")", ")", ")"])  # calls nested one a line
 def test_resumed_parse_matches_a_full_parse_at_every_line(lines):
     result = None
     for i in range(1, len(lines) + 1):

@@ -194,6 +194,20 @@ def test_string_open_across_lines_is_one_event(clock, log):
     assert _expressions(events) == [('x <- "a\nb\nc"', True)]
 
 
+@pytest.mark.parametrize(
+    "lines, texts",
+    [
+        (["x <- 1\ny <- 2"], ["x <- 1", "y <- 2"]),
+        (["a; b\nc"], ["a", "b", "c"]),
+        (["f(1,\n2); g()", "h()"], ["f(1,\n2)", "g()", "h()"]),
+    ],
+    ids=["two-lines", "shared-first-line", "shared-last-line"],
+)
+def test_an_input_item_holding_line_breaks_logs_each_expression_once(clock, log, lines, texts):
+    events = record(lines, clock=clock, log_path=log)
+    assert _expressions(events) == [(text, True) for text in texts]
+
+
 class _CountingScans:
     """Stands in for the lexer's compiled pattern and sums the text it scans."""
 
@@ -237,6 +251,7 @@ def test_recording_a_long_function_reads_each_line_a_bounded_number_of_times(
 
 
 _STAGES = 398  # lines between the first and the last of a 400-line paste
+_MUTATE = ["  mutate(", "    y = x + 1,", "    z = y * 2", "  ) %>%"]  # a four-line chain stage
 
 
 @pytest.mark.parametrize(
@@ -247,20 +262,28 @@ _STAGES = 398  # lines between the first and the last of a 400-line paste
         (["x %>%", *["  f() %>%"] * _STAGES, "  g()"], None),
         (["h <- function(x) {", "  x %>%", *["  f() %>%"] * (_STAGES - 2), "  g()", "}"], None),
         (["(a +", *["  b +"] * _STAGES, "  c)"], None),
+        (["df %>%", *(_MUTATE * 99), "  mutate(", "    w = z", "  )"], None),
         (["k <- function(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z) NULL"], 10),
         (["f(a = 1,", *[f"  b{i} = 2," for i in range(_STAGES)], "  z)"], 10),
         (["x[1,", *[f"  {i}," for i in range(_STAGES)], "]"], 10),
         (_FUNCTION, 10),
         (["g <- function(a) {", *(_ELSE * 66), "  a <- 1", "  a", "}"], 10),
+        # the last item's line leaves the list open at that item, not at its `(`
+        (["df <- data.frame(", *[f"  b{i} = 2," for i in range(_STAGES - 1)], "  z = 1", ")"], 10),
+        # 99 calls deep stays under MAX_NESTING
+        (["list(", *["  f("] * 99, "    x", *["  )"] * 98, "  ),", *["  g("] * 99, "    y",
+          *["  )"] * 99, ")"], 10),
     ],
-    ids=["top-level-chain", "chain-in-function", "parenthesised-sum", "formals", "arguments",
-         "subscripts", "function-with-blocks", "function-with-else-lines"],
+    ids=["top-level-chain", "chain-in-function", "parenthesised-sum", "multi-line-stages",
+         "formals", "arguments", "subscripts", "function-with-blocks", "function-with-else-lines",
+         "closer-on-its-own-line", "calls-nested-one-a-line"],
 )
 def test_recording_a_long_paste_does_bounded_parser_work_per_token(
     clock, log, monkeypatch, lines, closing
 ):
     # each open construct resumes where it stopped, so no line parses the paste
-    # again; a block or list it closes is kept, so its closing line parses only itself
+    # again; a block or list it closes is kept, so each of the last two lines
+    # parses little more than itself
     from codeweft import lexer, parser
 
     assert len(lines) == 400
@@ -283,4 +306,4 @@ def test_recording_a_long_paste_does_bounded_parser_work_per_token(
     assert _expressions(events) == [("\n".join(lines), True)]
     assert calls <= 3 * tokens
     if closing is not None:
-        assert calls - before[-1] <= closing
+        assert before[-1] - before[-2] <= closing and calls - before[-1] <= closing
