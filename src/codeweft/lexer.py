@@ -93,15 +93,17 @@ class Tokens:
     line `lines[i]`, column `cols[i]` to line `end_lines[i]`, column
     `end_cols[i]`, the bounds of its span. `len()` is the token count; the
     parser reads the lists, packs the positions of the nodes it keeps and
-    builds a `SrcSpan` only for an error. `stack`,
-    `line` and `line_start` are where `scan` stopped: for a scan a lexer
-    error cut, at the start of the token that raised. Equal texts are one
-    object: `shared` maps each text to the first string scanned with it, so
-    the trees built from the tokens hold each name once.
+    builds a `SrcSpan` only for an error. `stack`, `line` and `line_start`
+    (an offset from the end of the text scanned) are where `scan` stopped:
+    for a scan a lexer error cut, at the start of the token that raised, and
+    `cut_open` says whether that string or backtick name runs to the end of
+    its text, so more text may close it. Equal texts are one object: `shared`
+    maps each text to the first string scanned with it, so the trees built
+    from the tokens hold each name once.
     """
 
     __slots__ = ("kinds", "texts", "values", "lines", "cols", "end_lines", "end_cols",
-                 "stack", "line", "line_start", "shared")
+                 "stack", "line", "line_start", "cut_open", "shared")
 
     def __init__(self):
         self.kinds: list[str] = []
@@ -113,7 +115,7 @@ class Tokens:
         self.end_lines: list[int] = []
         self.end_cols: list[int] = []
         self.stack: list[bool] = []  # open delimiters, True where newlines are significant
-        self.line, self.line_start = 1, 0  # current line number and the offset it starts at
+        self.line, self.line_start, self.cut_open = 1, 0, False  # the scan state, as above
         # one table per token stream, not `sys.intern`'s process-wide one: the
         # names of a source are freed with its tokens and trees
         self.shared: dict[str, str] = {}
@@ -162,22 +164,21 @@ def tokenize(text: str, keep_newlines: bool = False) -> Tokens:
     the lexical content leave it off.
     """
     tokens = Tokens()
-    scan(tokens, text, 0, keep_newlines)
+    scan(tokens, text, keep_newlines)
     return tokens
 
 
-def _span(m: re.Match, end: int = -1) -> SrcSpan:
-    """1-based inclusive span of the token `m`, or of its text up to `end`; one
-    ending in a line break ends at column 0 of the next line."""
+def _span(m: re.Match, line: int, line_start: int, end: int = -1) -> SrcSpan:
+    """1-based inclusive span of the token `m` (or of its text up to `end`) on `line`, which
+    starts at `line_start`; one ending in a line break ends at column 0 of the next line."""
     text, start, end = m.string, m.start(m.lastindex), m.end() if end < 0 else end
-    line, start_col = text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
-    breaks = text.count("\n", start, end)
+    start_col, breaks = start - line_start + 1, text.count("\n", start, end)
     if breaks:
         return SrcSpan(line, start_col, line + breaks, end - text.rindex("\n", start, end) - 1)
     return SrcSpan(line, start_col, line, start_col + end - start - 1)
 
 
-def _unescape(m: re.Match, esc: re.Match) -> str:
+def _unescape(m: re.Match, line: int, line_start: int, esc: re.Match) -> str:
     """Decode one escape in the body of the string token `m`."""
     code = esc[1]
     if code in _ESCAPES:
@@ -193,17 +194,17 @@ def _unescape(m: re.Match, esc: re.Match) -> str:
         message = "nul character not allowed"
     else:
         message = f"{'invalid' if code[0] in 'xuU' else 'unknown'} escape \\{code}"
-    raise InvalidCharacter(message, _span(m, m.start("body") + esc.end()))
+    raise InvalidCharacter(message, _span(m, line, line_start, m.start("body") + esc.end()))
 
 
-def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
-    """Append the tokens of text[pos:], carrying on from where the scan of text[:pos] stopped."""
+def scan(tokens: Tokens, text: str, keep_newlines: bool) -> None:
+    """Append the tokens of `text`, carrying on from where the scan of the text before stopped."""
     kinds, texts, values = tokens.kinds, tokens.texts, tokens.values
     lines, cols, end_lines, end_cols = tokens.lines, tokens.cols, tokens.end_lines, tokens.end_cols
     stack, line, line_start = tokens.stack, tokens.line, tokens.line_start
     shared = tokens.shared.setdefault
     try:
-        for m in _TOKEN_RE.finditer(text, pos):
+        for m in _TOKEN_RE.finditer(text):
             i = m.lastindex
             start, end = m.span(i)
             raw = m[i]
@@ -227,18 +228,20 @@ def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
             elif i == _SKIP:
                 continue
             elif i == _STRING:
-                value = _ESCAPE_RE.sub(partial(_unescape, m), m["body"])
-                if m["close"] is None:
-                    raise UnterminatedString("unterminated string literal", _span(m))
+                value = _ESCAPE_RE.sub(partial(_unescape, m, line, line_start), m["body"])
+                if m["close"] is None:  # the string runs to the end of the text
+                    tokens.cut_open = True
+                    raise UnterminatedString("unterminated string literal", _span(m, line, line_start))
             elif i == _SPECIAL:
                 if len(raw) < 2 or raw[-1] != "%":
-                    raise InvalidCharacter("unterminated %..% operator", _span(m))
+                    raise InvalidCharacter("unterminated %..% operator", _span(m, line, line_start))
             elif i == _BACKTICK:
                 if len(raw) < 2 or raw[-1] != "`":
-                    raise UnterminatedBacktick("unterminated backtick name", _span(m))
+                    tokens.cut_open = end == len(text)  # not cut by a line break
+                    raise UnterminatedBacktick("unterminated backtick name", _span(m, line, line_start))
                 kind, raw = NAME, raw[1:-1]
             elif i == _BAD:
-                raise InvalidCharacter(f"invalid character {raw!r}", _span(m))
+                raise InvalidCharacter(f"invalid character {raw!r}", _span(m, line, line_start))
             kinds.append(kind)
             texts.append(shared(raw, raw))
             values.append(value)
@@ -252,4 +255,4 @@ def scan(tokens: Tokens, text: str, pos: int, keep_newlines: bool) -> None:
             end_lines.append(line)
             end_cols.append(end - line_start)
     finally:  # a scan cut by an error stops on the error's line
-        tokens.line, tokens.line_start = line, line_start
+        tokens.line, tokens.line_start = line, line_start - len(text)

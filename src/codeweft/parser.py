@@ -22,8 +22,6 @@ from .errors import (
     NestingTooDeep,
     RSyntaxError,
     SourceError,
-    UnterminatedBacktick,
-    UnterminatedString,
 )
 from .frozen import nogc
 from .lexer import EOF, KEYWORD, NAME, NEWLINE, NUM, OP, SEMI, SPECIAL, STRING, Tokens
@@ -137,8 +135,8 @@ class _Parser:
     __slots__ = ("text", "tokens", "kinds", "texts", "values", "position", "pos", "depth", "resumes",
                  "kept", "else_at", "cut")
 
-    def __init__(self, tokens: Tokens, text: str, cut: SourceError | None = None):
-        self.text = text
+    def __init__(self, tokens: Tokens, text: list[str], cut: SourceError | None = None):
+        self.text = text  # the pieces handed in, joined by line breaks
         self.tokens = tokens
         # a final EOF token stops every scan
         self.kinds = tokens.kinds + [EOF]
@@ -484,8 +482,8 @@ def parse_program(text: str) -> ProgramResult:
         # the tokens before the error, scanned again: `tokenize` stays the one hot call
         tokens, cut = lexer.Tokens(), err
         with contextlib.suppress(SourceError):
-            lexer.scan(tokens, text, 0, keep_newlines=True)
-    return _parse_tokens(_Parser(tokens, text, cut), cut)
+            lexer.scan(tokens, text, keep_newlines=True)
+    return _parse_tokens(_Parser(tokens, [text], cut), cut)
 
 
 def _parse_tokens(parser: _Parser, cut: SourceError | None) -> ProgramResult:
@@ -504,37 +502,37 @@ def _parse_tokens(parser: _Parser, cut: SourceError | None) -> ProgramResult:
             result.errors.append(err.with_traceback(None))
             parser.resync()
     first = result.errors[0] if result.errors else None
-    if isinstance(first, IncompleteInput):
-        result.incomplete, result._parser = True, parser  # its one error, at the end of the text
-    elif first is cut and isinstance(cut, (UnterminatedString, UnterminatedBacktick)):
-        # a backtick name cannot cross a line: only one cut by the end of the
-        # text can still be closed, as a string always can
-        result.incomplete = cut.span.end_line > parser.text.count("\n")
+    # its one error is at the end of the text, or a string or backtick name it cuts
+    if isinstance(first, IncompleteInput) or first is cut and parser.tokens.cut_open:
+        result.incomplete, result._parser = True, parser
     return result
 
 
 @nogc
-def resume_program(result: ProgramResult, text: str) -> ProgramResult:
-    """`parse_program(text)` for a text that extends an incomplete result's
-    text by whole lines: it lexes those lines and parses again each construct
-    open at the old end where it stopped (a block at its current statement, or
-    the one before if an `else` can still join that; a comma list at its current
-    item; a chain at its last operator), innermost first, then all. A resumed
-    parser keeps every block or list it reads through its closer: a later read
-    takes it unread. A result is resumed once; one that cannot be is parsed in full."""
+def resume_program(result: ProgramResult, more: str) -> ProgramResult:
+    """`parse_program(text + "\n" + more)` for the text of an incomplete result:
+    it lexes only `more` and parses again each construct open at the old end
+    where it stopped (a block at its current statement, or the one before if an
+    `else` can still join that; a comma list at its current item; a chain at its
+    last operator), innermost first, then all. A resumed parser keeps every block
+    or list it reads through its closer: a later read takes it unread. A result
+    is resumed once; one cut inside a string or backtick name is parsed in full."""
     parser, result._parser = result._parser, None
-    if not (parser and text.startswith(parser.text) and text.startswith("\n", len(parser.text))):
-        return parse_program(text)
+    if parser is None:
+        raise ValueError("only an incomplete result can be resumed, and only once")
+    parser.text.append(more)
+    if parser.tokens.cut_open:
+        return parse_program("\n".join(parser.text))
     if parser.kept is None:
         parser.kept = {}
     tokens, n, resumes, cut = parser.tokens, len(parser.tokens), parser.resumes, None
     try:
-        lexer.scan(tokens, text, len(parser.text), keep_newlines=True)
+        lexer.scan(tokens, "\n" + more, keep_newlines=True)
     except SourceError as err:
         cut = err
     parser.kinds[n:] = [*tokens.kinds[n:], EOF]
     parser.texts[n:] = [*tokens.texts[n:], ""]
-    parser.text, parser.cut = text, cut
+    parser.cut = cut
     for i, (pos, depth, routine, arguments) in enumerate(resumes):
         parser.pos, parser.depth, parser.resumes, parser.else_at = pos, depth, [], -1
         try:
@@ -550,7 +548,7 @@ def resume_program(result: ProgramResult, text: str) -> ProgramResult:
 def parse_expr(text: str) -> Expr:
     """Parse exactly one complete expression."""
     tokens = lexer.tokenize(text, keep_newlines=True)
-    parser = _Parser(tokens, text)
+    parser = _Parser(tokens, [text])
     parser.skip_newlines()
     if parser.at(EOF):
         raise RSyntaxError("empty input", None, "an expression")

@@ -126,10 +126,8 @@ def record(
 
         def stamp() -> datetime:
             dt = clock()
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)
-            micros = dt.microsecond - dt.microsecond % 1000
-            return dt.replace(microsecond=micros)
+            dt = dt.replace(tzinfo=timezone.utc) if dt.tzinfo is None else dt.astimezone(timezone.utc)
+            return dt.replace(microsecond=dt.microsecond // 1000 * 1000)
 
         emit(SessionEvent(KIND_START, stamp(), meta=_boundary_meta(capture_values)))
 
@@ -140,10 +138,10 @@ def record(
             if not pending and not line.strip():
                 continue
             pending.append(line)
-            chunk = "\n".join(pending)
-            program = resume_program(program, chunk)  # a full parse unless it was incomplete
+            program = resume_program(program, line) if program.incomplete else parse_program(line)
             if program.incomplete:
                 continue
+            chunk = "\n".join(pending)
             if program.errors:
                 # hard syntax error: no further lines can repair it
                 emit(SessionEvent(KIND_EXPRESSION, stamp(), chunk, {"parsed": False}))

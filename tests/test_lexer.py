@@ -117,10 +117,23 @@ def test_newline_value_says_whether_a_block_is_open(text, values):
 def test_a_resumed_scan_shares_texts_with_the_first():
     first, more = "total <- mean(values)\n", "total <- sum(`values`)\n"
     tokens = tokenize(first, keep_newlines=True)
-    scan(tokens, first + more, len(first), keep_newlines=True)
+    scan(tokens, more, keep_newlines=True)
     assert tokens.texts[0] == tokens.texts[7] == "total"
     assert tokens.texts[0] is tokens.texts[7]
     assert tokens.texts[4] is tokens.texts[11]  # a backtick name shares with a plain one
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [["x <- 1", "\ny <- 2"], ["f(a,", "\n  b) # note", "\n{", "\n  'a\nb'", "\n}"], ["ab ", "c  d"]],
+    ids=["kept-newline", "block-and-string", "within-a-line"],
+)
+def test_a_text_scanned_in_pieces_gives_the_tokens_of_one_scan(pieces):
+    whole, tokens = tokenize("".join(pieces), keep_newlines=True), tokenize(pieces[0], keep_newlines=True)
+    for piece in pieces[1:]:
+        scan(tokens, piece, keep_newlines=True)
+    assert [tokens.span(i, i) for i in range(len(tokens))] == [whole.span(i, i) for i in range(len(whole))]
+    assert (tokens.kinds, tokens.texts, tokens.line) == (whole.kinds, whole.texts, whole.line)
 
 
 def test_keywords():

@@ -274,7 +274,10 @@ def line_by_line(text):
     lines = text.split("\n")
     result = parse_program(lines[0])
     for i in range(2, len(lines) + 1):
-        result = resume_program(result, "\n".join(lines[:i]))
+        if result.incomplete:
+            result = resume_program(result, lines[i - 1])
+        else:
+            result = parse_program("\n".join(lines[:i]))
     return result
 
 
@@ -343,6 +346,16 @@ def test_else_on_its_own_line_joins_only_inside_a_block(text, exprs, errors):
     result = parse_program(text)
     assert [deparse(e) for e, _ in result.exprs] == exprs
     assert [(e.span.start_line, e.span.start_col) for e in result.errors] == errors
+
+
+def test_only_an_incomplete_result_resumes_and_only_once():
+    with pytest.raises(ValueError, match="incomplete"):
+        resume_program(parse_program("f(1)"), "x")
+    result = parse_program("f(")
+    resumed = resume_program(result, "1)")
+    assert [deparse(e) for e in resumed.trees] == ["f(1)"]
+    with pytest.raises(ValueError, match="once"):
+        resume_program(result, "1)")
 
 
 def test_else_on_its_own_line_joins_inside_a_resumed_block():
@@ -527,7 +540,7 @@ def test_resumed_parse_keeps_the_nesting_cap(opener, closer, n):
     for i in range(1, len(lines) + 1):
         text = "\n".join(lines[:i])
         resumable = result and result.incomplete
-        result = resume_program(result, text) if resumable else parse_program(text)
+        result = resume_program(result, lines[i - 1]) if resumable else parse_program(text)
         full = parse_program(text)
         assert (result.incomplete, [str(e) for e in result.errors]) == (
             full.incomplete, [str(e) for e in full.errors]

@@ -196,13 +196,20 @@ def _reference_events(lines):
 @example(["y <- df %>%", "  mutate(", "    a = 1", "  ) %>%", "  mutate(", "    b = a", "  )"])
 @example(["f(", "  a = 1,", "  b", ")"])  # the last item's line leaves the list open at it
 @example(["f(", "g(", "h(", "x", ")", ")", ")"])  # calls nested one a line
+# a lexer error on a resumed line, its span taken from the scan state
+@example(["f(", "  x ¤"])
+@example(["f(", '  "\\q")'])
+@example(["f(", "`abc", "x)"])  # a backtick name cut by a line break
+@example(["f(", "`abc"])  # a backtick name cut by the end of the text
+@example(["f(", '  "a', "b", 'c")'])  # a string opened on a resumed line
+@example(["function", "(a) 1"])  # an error at the line break between two pieces
 def test_resumed_parse_matches_a_full_parse_at_every_line(lines):
     result = None
     for i in range(1, len(lines) + 1):
         prefix = "\n".join(lines[:i])
         full = parse_program(prefix)
         resumable = result and result.incomplete
-        result = resume_program(result, prefix) if resumable else parse_program(prefix)
+        result = resume_program(result, lines[i - 1]) if resumable else parse_program(prefix)
         assert _outcome(result) == _outcome(full), prefix
         if not full.incomplete:
             with tempfile.TemporaryDirectory() as tmp:

@@ -1,3 +1,4 @@
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -108,6 +109,14 @@ def test_naive_clock_time_is_logged_as_utc(log):
     record(["x"], clock=lambda: datetime(2024, 1, 2, 3, 4, 5, 678_901), log_path=log)
     stamps = {e.dt for e in read_log(log)}
     assert stamps == {datetime(2024, 1, 2, 3, 4, 5, 678_000, tzinfo=timezone.utc)}
+
+
+def test_an_aware_clock_time_is_logged_in_utc(log):
+    # equal instants compare equal across offsets, so the written text is checked
+    plus_two = timezone(timedelta(hours=2))
+    record(["x"], clock=lambda: datetime(2020, 1, 1, 12, 0, 0, 123_456, plus_two), log_path=log)
+    stamps = {json.loads(line)["dt"] for line in log.read_text(encoding="utf-8").splitlines()}
+    assert stamps == {"2020-01-01T10:00:00.123+00:00"}
 
 
 def test_sessions_append(clock, log):
@@ -234,19 +243,20 @@ def test_recording_a_long_function_reads_each_line_a_bounded_number_of_times(
     received = []
 
     def counting(original):
-        def parse_program(text):
-            received.append(len(text))
-            return original(text)
+        def parse(*args):  # the text is the last argument of either call
+            received.append(len(args[-1]))
+            return original(*args)
 
-        return parse_program
+        return parse
 
     for module in (parser, recorder):
         monkeypatch.setattr(module, "parse_program", counting(module.parse_program))
+    monkeypatch.setattr(recorder, "resume_program", counting(recorder.resume_program))
     lines = _FUNCTION
     assert len(lines) == 400
     events = record(lines, clock=clock, log_path=log)
     assert _expressions(events) == [("\n".join(lines), True)]
-    # a recorder that parses the whole pending text on every line reads it about 200 times
+    # a recorder that hands the parser the whole pending text on every line reads it about 200 times
     assert scans.scanned + sum(received) <= 3 * len("\n".join(lines))
 
 

@@ -20,6 +20,8 @@ each input the dump records
     `record` parses, with an incomplete result resumed by `resume_program`
     as `record` resumes it: dumped as for `parse_program`, so a block or
     list that a resume keeps and a fresh parse would build otherwise shows.
+    Each revision's `resume_program` gets what it takes: the new line where
+    its second parameter is `more`, the whole chunk where it is `text`.
 
 Inputs are the parser goldens, one file of all of them, the bundled
 examples, each nesting form at depths around and far past the parser's
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -289,14 +292,17 @@ def _resumed(lines: list[str]) -> list:
     """The result of each line prefix of each chunk `record` parses."""
     from codeweft.parser import parse_program, resume_program
 
+    takes_line = "more" in inspect.signature(resume_program).parameters
     out, pending, result = [], [], None
     for line in lines:
         if not pending and not line.strip():
             continue
         pending.append(line)
         text = "\n".join(pending)
-        resumable = result is not None and result.incomplete
-        result = resume_program(result, text) if resumable else parse_program(text)
+        if result is not None and result.incomplete:
+            result = resume_program(result, line if takes_line else text)
+        else:
+            result = parse_program(text)
         out.append(_program(result))
         if not result.incomplete:
             pending.clear()
